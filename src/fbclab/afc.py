@@ -26,6 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, NumericalFailure, ProtocolViolation
 from .layers import Linear, Module, SnrMlp, TransformerStack
+from .results import atomic_write
 
 _CKPT_MAGIC = b"FBCLAB-CKPT\x01"
 _NORM_EPS = 1e-8
@@ -538,12 +539,9 @@ def count_complexity(config: AfcConfig) -> dict:
 def save_checkpoint(model: AfcModel, path) -> None:
     """Versioned header, config echo, then raw little-endian float64 weights."""
     cfg_blob = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(cfg_blob)))
-        fh.write(cfg_blob)
-        for _, p in model.parameters():
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    parts = [_CKPT_MAGIC, struct.pack("<I", len(cfg_blob)), cfg_blob]
+    parts += [np.ascontiguousarray(p.data, dtype="<f8").tobytes() for _, p in model.parameters()]
+    atomic_write(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> AfcModel:

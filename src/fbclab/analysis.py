@@ -10,16 +10,13 @@ deployment constants that cancel out.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InputDomainError, RangeError
-
-FPGA_CSV_HEADER = ["family", "dsp_gmacs", "peak_gflops", "latency_us"]
+from .results import emit_results
 
 
 @dataclass
@@ -147,18 +144,7 @@ def fpga_report(flops: float, specs: list[FpgaSpec] | None = None) -> list[dict]
 
 
 def fpga_report_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FPGA_CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r["family"],
-                    f"{r['dsp_gmacs']:.9g}",
-                    f"{r['peak_gflops']:.9g}",
-                    f"{r['latency_us']:.9g}",
-                ]
-            )
+    emit_results(rows, "csv", path)
 
 
 def coverage_report(
@@ -196,8 +182,3 @@ def coverage_report(
             )
     return report
 
-
-def coverage_report_json(reports: list[dict], path) -> None:
-    with open(path, "w") as fh:
-        json.dump(reports, fh, indent=2, sort_keys=True)
-        fh.write("\n")

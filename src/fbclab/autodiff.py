@@ -74,9 +74,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def backward(self, grad: np.ndarray | None = None):
         """Backpropagate from this tensor through the recorded graph."""
         if grad is None:

@@ -16,12 +16,9 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, InputDomainError
+from .results import emit_results
 
 TracePoint = tuple[float, float]  # (time_ms, snr_db)
-
-
-def snr_db_to_linear(snr_db: float) -> float:
-    return 10.0 ** (snr_db / 10.0)
 
 
 def noise_sigma(snr_db: float) -> float:
@@ -190,11 +187,8 @@ def trace_value_at(trace: list[TracePoint], time_ms: float) -> float:
 
 
 def write_trace_csv(trace: list[TracePoint], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_ms", "snr_db"])
-        for t, v in trace:
-            writer.writerow([f"{t:.6f}", f"{v:.6f}"])
+    records = [{"time_ms": f"{t:.6f}", "snr_db": f"{v:.6f}"} for t, v in trace]
+    emit_results(records, "csv", path)
 
 
 def read_trace_csv(path) -> list[TracePoint]:

@@ -2,10 +2,12 @@
 
 Every experiment kind has a documented parameter schema. A run validates its
 parameters (unknown keys and type errors are reported with their full key
-path), executes, writes result files atomically (temp file + rename), and
-drops a manifest recording the config, its hash, the seed, and the package
-version. Rerunning with the same config and seed reproduces result bodies
-byte for byte; only the manifest timestamp differs.
+path), executes, and writes its result files and a manifest recording the
+config, its hash, the seed, and the package version. Every file goes through
+`fbclab.results`, which writes it atomically (temp file + rename) with the
+mode a plain `open()` gives; `emit_results`, `parse_results` and `write_json`
+are re-exported from there. Rerunning with the same config and seed
+reproduces result bodies byte for byte; only the manifest timestamp differs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -47,6 +48,7 @@ from .pipeline import (
     sync_latency,
     timeline_to_csv,
 )
+from .results import canonical, emit_results, parse_results, write_json  # noqa: F401
 from .training import (
     CurriculumConfig,
     ExponentialDecay,
@@ -296,122 +298,9 @@ def expand_grid(spec, name: str) -> list[float]:
     return [float(v) for v in spec]
 
 
-# ---------------------------------------------------------------------------
-# Deterministic emission
-# ---------------------------------------------------------------------------
-
-
-def _round_sig(value, digits: int = 9):
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(f"{float(value):.{digits}g}")
-
-
-def _canonical(obj):
-    if isinstance(obj, dict):
-        return {k: _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return _round_sig(float(obj))
-    if isinstance(obj, float):
-        return _round_sig(obj)
-    return obj
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_json(path: Path, payload) -> None:
-    atomic_write_text(path, json.dumps(_canonical(payload), indent=2, sort_keys=True) + "\n")
-
-
-def emit_results(records: list[dict], fmt: str, path) -> None:
-    """Write homogeneous records as CSV or JSON with 9-significant-digit floats.
-
-    Column order follows the first record; every record must share its keys.
-    """
-    path = Path(path)
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    if records:
-        keys = list(records[0].keys())
-        for i, rec in enumerate(records):
-            if list(rec.keys()) != keys:
-                raise ConfigError(f"records[{i}] keys differ from records[0]")
-    else:
-        keys = []
-    if fmt == "json":
-        write_json(path, records)
-        return
-    lines = [",".join(keys)]
-    for rec in records:
-        cells = []
-        for key in keys:
-            v = rec[key]
-            if isinstance(v, bool):
-                cells.append(str(v).lower())
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            elif isinstance(v, (float, np.floating)):
-                cells.append(f"{float(v):.9g}")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def parse_results(path) -> list[dict]:
-    """Inverse of emit_results for both formats (best-effort cell typing)."""
-    path = Path(path)
-    text = path.read_text()
-    if path.suffix == ".json" or text.lstrip().startswith(("[", "{")):
-        return json.loads(text)
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines:
-        return []
-    keys = lines[0].split(",")
-    out = []
-    for line in lines[1:]:
-        rec = {}
-        for key, cell in zip(keys, line.split(",")):
-            rec[key] = _parse_cell(cell)
-        out.append(rec)
-    return out
-
-
-def _parse_cell(cell: str):
-    if cell == "true":
-        return True
-    if cell == "false":
-        return False
-    try:
-        return int(cell)
-    except ValueError:
-        pass
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
-
-
 def config_hash(config: ExperimentConfig) -> str:
     blob = json.dumps(
-        {"kind": config.kind, "params": _canonical(config.params), "seed": config.seed},
+        {"kind": config.kind, "params": canonical(config.params), "seed": config.seed},
         sort_keys=True,
     ).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -553,47 +442,19 @@ def _run_gradcheck(p: dict, seed, out: Path) -> list[str]:
     return ["gradcheck.json"]
 
 
-def _neural_trace_trial_fn(model, trace_params: dict, p: dict):
-    from . import autodiff as ad
-    from .afc import logits_to_bits, session_graph
-
-    c = model.config
-    period = p["round_period_ms"]
+def _trace_kind(trace_params: dict):
+    """The `uplink_trace` parameter as a map from grid SNR to trace kind."""
     kind_name = trace_params.get("kind", "mean-reverting")
-
-    def make_kind(mean_db):
-        if kind_name == "mean-reverting":
-            kwargs = {
-                k: trace_params[k]
-                for k in ("reversion_rate", "volatility", "step_ms", "start_db")
-                if k in trace_params
-            }
-            return MeanRevertingTrace(mean_db=mean_db, **kwargs)
-        if kind_name == "piecewise":
-            return PiecewiseTrace(points=[tuple(pt) for pt in trace_params["points"]])
-        raise ConfigError(f"params.uplink_trace.kind: unknown kind {kind_name!r}")
-
-    from .channel import sample_trace_kind, trace_value_at
-
-    def trial(snr_db, rng, n):
-        snrs = np.empty((n, c.rounds))
-        duration = max(c.rounds * period, period)
-        for i in range(n):
-            trace = sample_trace_kind(make_kind(snr_db), duration, rng)
-            snrs[i] = [trace_value_at(trace, t * period) for t in range(c.rounds)]
-        bits = rng.integers(0, 2, (n, c.k))
-        with ad.no_grad():
-            logits = session_graph(
-                model,
-                bits,
-                snrs,
-                rng,
-                noiseless_feedback=p["noiseless_feedback"],
-                feedback_snr_db=p["feedback_snr_db"],
-            )
-        return np.all(logits_to_bits(logits.data) == bits, axis=1)
-
-    return trial
+    if kind_name == "mean-reverting":
+        kwargs = {
+            k: trace_params[k]
+            for k in ("reversion_rate", "volatility", "step_ms", "start_db")
+            if k in trace_params
+        }
+        return lambda mean_db: MeanRevertingTrace(mean_db=mean_db, **kwargs)
+    if kind_name == "piecewise":
+        return lambda mean_db: PiecewiseTrace(points=[tuple(pt) for pt in trace_params["points"]])
+    raise ConfigError(f"params.uplink_trace.kind: unknown kind {kind_name!r}")
 
 
 def _run_per_sweep(p: dict, seed: int, out: Path) -> list[str]:
@@ -609,10 +470,13 @@ def _run_per_sweep(p: dict, seed: int, out: Path) -> list[str]:
         if not p["checkpoint"]:
             raise ConfigError("params.checkpoint: required for scheme 'neural'")
         model = load_checkpoint(p["checkpoint"])
-        if p["uplink_trace"]:
-            trial = _neural_trace_trial_fn(model, p["uplink_trace"], p)
-        else:
-            trial = neural_trial_fn(model, p["noiseless_feedback"], p["feedback_snr_db"])
+        trial = neural_trial_fn(
+            model,
+            p["noiseless_feedback"],
+            p["feedback_snr_db"],
+            _trace_kind(p["uplink_trace"]) if p["uplink_trace"] else None,
+            p["round_period_ms"],
+        )
     else:
         raise ConfigError(f"params.scheme: unknown scheme {scheme!r}")
     points = measure_per(
@@ -703,7 +567,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     outputs = _RUNNERS[config.kind](params, seed, out)
     manifest = {
         "kind": config.kind,
-        "params": _canonical(params),
+        "params": canonical(params),
         "seed": seed,
         "config_sha256": config_hash(ExperimentConfig(config.kind, params, seed)),
         "version": __version__,

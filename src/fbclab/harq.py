@@ -15,7 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 from .convcode import (
-    TAIL_BITS,
     bpsk_llr,
     conv_encode,
     modulate_bpsk,
@@ -38,16 +37,6 @@ class HarqConfig:
             raise ConfigError("max_attempts must be >= 1")
         if self.use_crc16 and self.k <= CRC16_LEN:
             raise ConfigError("k must exceed the CRC-16 length")
-
-    @property
-    def codeword_len(self) -> int:
-        return 3 * (self.k + TAIL_BITS)
-
-
-@dataclass
-class HarqResult:
-    success: bool
-    attempts_used: int
 
 
 def crc16(bits: np.ndarray) -> np.ndarray:
@@ -104,26 +93,6 @@ def harq_cc_trial_batch(
         success[idx[ok]] = True
         active[idx[ok]] = False
     return success
-
-
-def run_harq_cc(config: HarqConfig, snr_db: float, rng: np.random.Generator) -> HarqResult:
-    """One HARQ-CC session: attempts stop at success or the attempt budget."""
-    bits = _draw_payload(config, rng, 1)[0]
-    symbols = modulate_bpsk(conv_encode(bits))
-    sigma = 10.0 ** (-snr_db / 20.0)
-
-    combined = np.zeros_like(symbols)
-    for attempt in range(1, config.max_attempts + 1):
-        received = symbols + sigma * rng.standard_normal(symbols.shape)
-        combined += bpsk_llr(received, snr_db)
-        decoded = viterbi_decode_batch(combined[None, :])[0]
-        if config.use_crc16:
-            ok = np.array_equal(crc16(decoded[:-CRC16_LEN]), decoded[-CRC16_LEN:])
-        else:
-            ok = np.array_equal(decoded, bits)
-        if ok:
-            return HarqResult(True, attempt)
-    return HarqResult(False, config.max_attempts)
 
 
 def harq_trial_fn(config: HarqConfig):

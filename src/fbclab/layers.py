@@ -34,9 +34,6 @@ class Module:
             out.extend((f"{mod_name}.{n}", p) for n, p in mod.parameters())
         return out
 
-    def param_count(self) -> int:
-        return sum(p.size for _, p in self.parameters())
-
     def zero_grad(self):
         for _, p in self.parameters():
             p.zero_grad()

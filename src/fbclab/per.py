@@ -9,12 +9,13 @@ binomial.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
+from .results import emit_results
 
 TrialFn = Callable[[float, np.random.Generator, int], np.ndarray]
 
@@ -75,20 +76,7 @@ def measure_per(
 
 
 def write_per_csv(points: list[PerPoint], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PER_CSV_HEADER)
-        for p in points:
-            writer.writerow(
-                [
-                    f"{p.snr_db:.9g}",
-                    f"{p.per:.9g}",
-                    f"{p.ci_low:.9g}",
-                    f"{p.ci_high:.9g}",
-                    p.trials,
-                    p.errors,
-                ]
-            )
+    emit_results([asdict(p) for p in points], "csv", path)
 
 
 def read_per_csv(path) -> list[PerPoint]:

@@ -18,13 +18,13 @@ of a deadline-driven radio).
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InputDomainError
+from .results import emit_results
 
 EVENT_KINDS = (
     "EncodeStart",
@@ -218,11 +218,8 @@ def simulate_timeline(
 
 
 def timeline_to_csv(tl: Timeline, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIMELINE_CSV_HEADER)
-        for e in tl.events:
-            writer.writerow([e.round, e.kind, f"{e.time:.9g}"])
+    records = [dict(zip(TIMELINE_CSV_HEADER, (e.round, e.kind, e.time))) for e in tl.events]
+    emit_results(records, "csv", path)
 
 
 @dataclass
@@ -252,16 +249,4 @@ def latency_sweep(
 
 
 def sweep_to_csv(rows: list[SweepRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    f"{r.delta_ms:.9g}",
-                    f"{r.delta_tilde_ms:.9g}",
-                    r.mode,
-                    f"{r.delta_prime_ms:.9g}",
-                    f"{r.total_ms:.9g}",
-                ]
-            )
+    emit_results([asdict(r) for r in rows], "csv", path)

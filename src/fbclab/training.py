@@ -10,25 +10,19 @@ conventional way these codecs are trained).
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Union
 
 import numpy as np
 from scipy.stats import norm
 
 from . import autodiff as ad
-from .afc import (
-    AfcModel,
-    bits_to_block_targets,
-    block_cross_entropy,
-    forward_backward,
-    logits_to_bits,
-    session_graph,
-)
+from .afc import AfcModel, forward_backward, logits_to_bits, session_graph
+from .channel import TraceKind, sample_trace_kind, trace_value_at
 from .errors import ConfigError, NumericalFailure
 from .layers import Module
 from .per import PerPoint, measure_per
+from .results import emit_results
 
 HISTORY_CSV_HEADER = ["step", "loss", "alpha", "mean_snr_db"]
 
@@ -197,30 +191,40 @@ def train(
 
 
 def write_history_csv(history: list[HistoryRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_CSV_HEADER)
-        for row in history:
-            writer.writerow(
-                [row.step, f"{row.loss:.9g}", f"{row.alpha:.9g}", f"{row.mean_snr_db:.9g}"]
-            )
+    emit_results([asdict(row) for row in history], "csv", path)
 
 
 def neural_trial_fn(
     model: AfcModel,
     noiseless_feedback: bool = True,
     feedback_snr_db: float = 20.0,
+    uplink_trace: Callable[[float], TraceKind] | None = None,
+    round_period_ms: float = 1.0,
 ):
-    """Batched packet trials of the neural codec, for measure_per."""
+    """Batched packet trials of the neural codec, for measure_per.
+
+    Every round runs at the grid SNR unless uplink_trace is given: then each
+    session draws its own trace of kind uplink_trace(snr_db) and round t sees
+    the trace at t * round_period_ms.
+    """
     c = model.config
+    duration = max(c.rounds * round_period_ms, round_period_ms)
 
     def trial(snr_db: float, rng: np.random.Generator, n: int) -> np.ndarray:
+        if uplink_trace is None:
+            snrs = np.full(c.rounds, snr_db)
+        else:
+            # Draw order (traces, then bits, then session noise) fixes seeded results.
+            snrs = np.empty((n, c.rounds))
+            for i in range(n):
+                trace = sample_trace_kind(uplink_trace(snr_db), duration, rng)
+                snrs[i] = [trace_value_at(trace, t * round_period_ms) for t in range(c.rounds)]
         bits = rng.integers(0, 2, (n, c.k))
         with ad.no_grad():
             logits = session_graph(
                 model,
                 bits,
-                np.full(c.rounds, snr_db),
+                snrs,
                 rng,
                 noiseless_feedback=noiseless_feedback,
                 feedback_snr_db=feedback_snr_db,
@@ -248,13 +252,3 @@ def evaluate_robustness(
         seed=seed,
         batch_size=256,
     )
-
-
-def evaluate_loss(
-    model: AfcModel, snr_db: float, batch_size: int, rng: np.random.Generator
-) -> float:
-    """Session loss on a fresh batch without updating the model."""
-    bits = rng.integers(0, 2, (batch_size, model.config.k))
-    with ad.no_grad():
-        logits = session_graph(model, bits, np.full(model.config.rounds, snr_db), rng)
-        return block_cross_entropy(logits, bits_to_block_targets(bits, model.config)).item()

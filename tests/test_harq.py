@@ -10,7 +10,6 @@ from fbclab.harq import (
     effective_snr_db,
     harq_cc_trial_batch,
     harq_trial_fn,
-    run_harq_cc,
 )
 from fbclab.per import measure_per
 
@@ -26,8 +25,9 @@ def test_batch_encode_matches_generator_definition():
 
 
 def test_noiseless_success_first_attempt():
-    res = run_harq_cc(HarqConfig(k=47, max_attempts=3), 40.0, np.random.default_rng(0))
-    assert res.success and res.attempts_used == 1
+    # With a budget of one attempt, every success is a first-attempt success.
+    ok = harq_cc_trial_batch(HarqConfig(k=47, max_attempts=1), 40.0, np.random.default_rng(0), 20)
+    assert ok.all()
 
 
 def test_very_low_snr_rarely_succeeds():
@@ -77,8 +77,8 @@ def test_crc16_detects_state():
 
 def test_crc16_mode_runs():
     cfg = HarqConfig(k=47, max_attempts=2, use_crc16=True)
-    res = run_harq_cc(cfg, 30.0, np.random.default_rng(4))
-    assert res.success and res.attempts_used == 1
+    first = HarqConfig(k=47, max_attempts=1, use_crc16=True)
+    assert harq_cc_trial_batch(first, 30.0, np.random.default_rng(4), 20).all()
     ok = harq_cc_trial_batch(cfg, 30.0, np.random.default_rng(5), 50)
     assert ok.all()
 
