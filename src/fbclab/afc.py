@@ -428,8 +428,7 @@ def session_graph(
 
 def block_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of the true block classes."""
-    logp = ad.log_softmax(logits, axis=-1)
-    return -ad.gather_last(logp, targets).mean()
+    return ad.cross_entropy(logits, targets)
 
 
 def forward_backward(

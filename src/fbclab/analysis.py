@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ConfigError, InputDomainError, RangeError
 from .results import emit_results
 
+FPGA_CSV_HEADER = ["family", "dsp_gmacs", "peak_gflops", "latency_us"]
+
 
 @dataclass
 class PathLossModel:
@@ -144,7 +146,7 @@ def fpga_report(flops: float, specs: list[FpgaSpec] | None = None) -> list[dict]
 
 
 def fpga_report_csv(rows: list[dict], path) -> None:
-    emit_results(rows, "csv", path)
+    emit_results(rows, "csv", path, FPGA_CSV_HEADER)
 
 
 def coverage_report(

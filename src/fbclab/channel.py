@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ConfigError, InputDomainError
 from .results import emit_results
 
+TRACE_CSV_HEADER = ["time_ms", "snr_db"]
+
 TracePoint = tuple[float, float]  # (time_ms, snr_db)
 
 
@@ -188,13 +190,13 @@ def trace_value_at(trace: list[TracePoint], time_ms: float) -> float:
 
 def write_trace_csv(trace: list[TracePoint], path) -> None:
     records = [{"time_ms": f"{t:.6f}", "snr_db": f"{v:.6f}"} for t, v in trace]
-    emit_results(records, "csv", path)
+    emit_results(records, "csv", path, TRACE_CSV_HEADER)
 
 
 def read_trace_csv(path) -> list[TracePoint]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if header != ["time_ms", "snr_db"]:
+        if header != TRACE_CSV_HEADER:
             raise ConfigError(f"unexpected trace header: {header}")
         return [(float(t), float(v)) for t, v in reader]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .afc import AfcConfig, AfcModel, forward_backward
 from .autodiff import Tensor
 from .layers import (

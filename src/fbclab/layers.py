@@ -75,10 +75,7 @@ class LayerNorm(Module):
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        return centered / ad.sqrt(var + self.eps) * self.gamma + self.beta
+        return ad.layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 class SelfAttention(Module):

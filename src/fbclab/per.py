@@ -76,7 +76,7 @@ def measure_per(
 
 
 def write_per_csv(points: list[PerPoint], path) -> None:
-    emit_results([asdict(p) for p in points], "csv", path)
+    emit_results([asdict(p) for p in points], "csv", path, PER_CSV_HEADER)
 
 
 def read_per_csv(path) -> list[PerPoint]:

@@ -219,7 +219,7 @@ def simulate_timeline(
 
 def timeline_to_csv(tl: Timeline, path) -> None:
     records = [dict(zip(TIMELINE_CSV_HEADER, (e.round, e.kind, e.time))) for e in tl.events]
-    emit_results(records, "csv", path)
+    emit_results(records, "csv", path, TIMELINE_CSV_HEADER)
 
 
 @dataclass
@@ -249,4 +249,4 @@ def latency_sweep(
 
 
 def sweep_to_csv(rows: list[SweepRow], path) -> None:
-    emit_results([asdict(r) for r in rows], "csv", path)
+    emit_results([asdict(r) for r in rows], "csv", path, SWEEP_CSV_HEADER)

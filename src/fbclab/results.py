@@ -82,19 +82,24 @@ def _cell(v) -> str:
     return str(v)
 
 
-def emit_results(records: list[dict], fmt: str, path) -> None:
+def emit_results(records: list[dict], fmt: str, path, columns: list[str] | None = None) -> None:
     """Write homogeneous records as CSV or JSON with 9-significant-digit floats.
 
-    Column order follows the first record; every record must share its keys.
+    Column order is `columns` when given, else that of the first record;
+    every record must have exactly those keys, in that order. A writer with a
+    fixed format passes its columns, so an empty list still gets its header.
     Strings are written as given, so a caller that wants another number
     format passes the cell already formatted.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    keys = list(records[0].keys()) if records else []
+    if columns is not None:
+        keys = list(columns)
+    else:
+        keys = list(records[0].keys()) if records else []
     for i, rec in enumerate(records):
         if list(rec.keys()) != keys:
-            raise ConfigError(f"records[{i}] keys differ from records[0]")
+            raise ConfigError(f"records[{i}] keys differ from the columns {keys}")
     if fmt == "json":
         write_json(path, records)
         return

@@ -191,7 +191,7 @@ def train(
 
 
 def write_history_csv(history: list[HistoryRow], path) -> None:
-    emit_results([asdict(row) for row in history], "csv", path)
+    emit_results([asdict(row) for row in history], "csv", path, HISTORY_CSV_HEADER)
 
 
 def neural_trial_fn(

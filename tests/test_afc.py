@@ -8,10 +8,12 @@ from fbclab.afc import (
     AfcModel,
     AfcSessionCodec,
     EncoderState,
+    _active_inputs,
     bits_to_block_targets,
     block_targets_to_bits,
     count_complexity,
     encoder_param_count,
+    encoder_session_flops,
     forward_backward,
     load_checkpoint,
     logits_to_bits,
@@ -309,6 +311,52 @@ def test_param_counter_equals_enumeration(cfg):
     model = AfcModel(cfg, seed=0)
     enum = sum(p.size for n, p in model.parameters() if n.startswith(("snr_mlp", "enc_")))
     assert encoder_param_count(cfg) == enum
+
+
+def _measured_encoder_flops(monkeypatch, config, sessions=4):
+    """2 x the matmul MACs made inside encode_round_graph, per session."""
+    depth, macs = [0], [0]
+    encode, matmul = AfcModel.encode_round_graph, Tensor.__matmul__
+
+    def counted_encode(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return encode(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_matmul(a, b):
+        if depth[0]:
+            b_shape = b.data.shape if isinstance(b, Tensor) else np.shape(b)
+            batch = int(np.prod(np.broadcast_shapes(a.data.shape[:-2], b_shape[:-2])))
+            macs[0] += batch * a.data.shape[-2] * a.data.shape[-1] * b_shape[-1]
+        return matmul(a, b)
+
+    monkeypatch.setattr(AfcModel, "encode_round_graph", counted_encode)
+    monkeypatch.setattr(Tensor, "__matmul__", counted_matmul)
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 2, (sessions, config.k))
+    with ad.no_grad():
+        session_graph(
+            AfcModel(config, seed=0), bits, np.full((sessions, config.rounds), 4.0), rng
+        )
+    return 2 * macs[0] / sessions
+
+
+@pytest.mark.parametrize(
+    "cfg, measured, analytic",
+    [
+        (AfcConfig.default_full(), 1645344, 1604384),
+        (AfcConfig.default_light(), 309024, 285984),
+    ],
+)
+def test_counted_encoder_macs_match_analytic_flops(monkeypatch, cfg, measured, analytic):
+    # The encoder's input embedding multiplies the structurally zero feature
+    # columns too; the analytic count skips them.
+    zero_columns = sum(cfg.enc_in_dim - _active_inputs(cfg, t) for t in range(cfg.rounds))
+    assert encoder_session_flops(cfg) == analytic
+    assert measured == analytic + 2 * cfg.num_blocks * cfg.enc_d_model * zero_columns
+    assert _measured_encoder_flops(monkeypatch, cfg) == measured
 
 
 def test_doubling_width_predicted_exactly():

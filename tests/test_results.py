@@ -9,18 +9,21 @@ from pathlib import Path
 import pytest
 
 from fbclab.afc import AfcConfig, AfcModel, save_checkpoint
-from fbclab.analysis import fpga_report, fpga_report_csv
-from fbclab.channel import write_trace_csv
+from fbclab.analysis import FPGA_CSV_HEADER, fpga_report, fpga_report_csv
+from fbclab.channel import TRACE_CSV_HEADER, read_trace_csv, write_trace_csv
 from fbclab.experiments import ExperimentConfig, emit_results, run_experiment, write_json
-from fbclab.per import PerPoint, write_per_csv
+from fbclab.per import PER_CSV_HEADER, PerPoint, read_per_csv, write_per_csv
 from fbclab.pipeline import (
+    SWEEP_CSV_HEADER,
+    TIMELINE_CSV_HEADER,
+    Timeline,
     TimingParams,
     latency_sweep,
     simulate_timeline,
     sweep_to_csv,
     timeline_to_csv,
 )
-from fbclab.training import HistoryRow, write_history_csv
+from fbclab.training import HISTORY_CSV_HEADER, HistoryRow, write_history_csv
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fbclab"
 
@@ -52,6 +55,24 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(writer, tmp_path, monkey
         WRITERS[writer](target)
     assert target.read_bytes() == b"old bytes\n"
     assert list(tmp_path.glob(f".{target.name}.*")) == []
+
+
+def test_empty_results_keep_their_header(tmp_path):
+    cases = [
+        (lambda path: write_per_csv([], path), PER_CSV_HEADER),
+        (lambda path: write_history_csv([], path), HISTORY_CSV_HEADER),
+        (lambda path: timeline_to_csv(Timeline([], 0.0, "async", []), path), TIMELINE_CSV_HEADER),
+        (lambda path: sweep_to_csv([], path), SWEEP_CSV_HEADER),
+        (lambda path: fpga_report_csv([], path), FPGA_CSV_HEADER),
+        (lambda path: write_trace_csv([], path), TRACE_CSV_HEADER),
+    ]
+    for i, (write, header) in enumerate(cases):
+        path = tmp_path / f"{i}.csv"
+        write(path)
+        assert path.read_bytes() == (",".join(header) + "\r\n").encode(), header
+    assert read_per_csv(tmp_path / "0.csv") == []
+    assert read_trace_csv(tmp_path / "5.csv") == []
+    assert list(fpga_report(1e6)[0]) == FPGA_CSV_HEADER
 
 
 def test_result_files_get_the_mode_open_gives(tmp_path):
