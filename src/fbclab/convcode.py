@@ -6,6 +6,12 @@ production HARQ stacks at the same minimum rate of ~1/3.
 
 LLR convention: positive LLR means bit 0 is more likely. For BPSK (0 -> +1,
 1 -> -1) over AWGN with noise variance sigma^2 the channel LLR is 2*y/sigma^2.
+
+The batched Viterbi keeps its path metrics state-major, shape (64, B). The two
+predecessors of next state ns are 2*(ns & 31) and 2*(ns & 31) + 1, so each
+add-compare-select step reads them as the strided views pm[0::2] and pm[1::2]
+instead of gathering. Branch correlations are summed in a fixed order, not by
+a BLAS product, and ties go to the 0-branch, so decisions are reproducible.
 """
 
 from __future__ import annotations
@@ -40,18 +46,11 @@ def _build_trellis():
 
 _NEXT_STATE, _OUT_IDX = _build_trellis()
 
-# Predecessor tables: every state ns is reached with input bit ns >> (TAIL_BITS-1)
-# from the two states that differ in the bit leaving the register.
-_B_IN = np.arange(_N_STATES) >> (TAIL_BITS - 1)
-_PRED0 = (np.arange(_N_STATES) & (_N_STATES // 2 - 1)) << 1
-_PRED1 = _PRED0 | 1
-_OUT_P0 = _OUT_IDX[_PRED0, _B_IN]
-_OUT_P1 = _OUT_IDX[_PRED1, _B_IN]
-
-# Antipodal signs of each 3-bit output pattern, per coded position.
-_PATTERN_SIGNS = np.array(
-    [[1 - 2 * ((q >> k) & 1) for k in (2, 1, 0)] for q in range(8)], dtype=float
-)
+# _BRANCH[b, j] is the output pattern on the branch from state 2j into next
+# state (b << 5) | j. Every generator taps the oldest register bit, so the
+# branch from 2j + 1 emits the complement pattern, whose correlation is the
+# exact negative.
+_BRANCH = _OUT_IDX[(np.arange(_N_STATES // 2) << 1)[None, :], np.arange(2)[:, None]]
 
 
 def conv_encode(bits: np.ndarray) -> np.ndarray:
@@ -96,29 +95,47 @@ def viterbi_decode_batch(llrs: np.ndarray) -> np.ndarray:
     if n_steps <= TAIL_BITS:
         raise ProtocolViolation("codeword too short for a zero-tail trellis")
     n_batch = llrs.shape[0]
+    half = _N_STATES // 2
 
-    neg_inf = -1e30
-    pm = np.full((n_batch, _N_STATES), neg_inf)
-    pm[:, 0] = 0.0
-    choose_p1 = np.empty((n_steps, n_batch, _N_STATES), dtype=bool)
+    # Correlation of every step with each 3-bit output pattern, shape
+    # (steps, 8, B), summed in the fixed order (+-l0 +-l1) +-l2: products by
+    # +-1 are exact, so no BLAS build can move a decision. The complement
+    # pattern q ^ 7 correlates to exactly -corr[q].
+    l0, l1, l2 = np.ascontiguousarray(
+        llrs.reshape(n_batch, n_steps, RATE_INV).transpose(2, 1, 0)
+    )
+    corr = np.empty((n_steps, 8, n_batch))
+    for q, head in enumerate((l0 + l1, l0 - l1)):  # patterns 00x and 01x
+        np.add(head, l2, out=corr[:, 2 * q])
+        np.subtract(head, l2, out=corr[:, 2 * q + 1])
+    np.negative(corr[:, 3::-1], out=corr[:, 4:])
 
-    steps = llrs.reshape(n_batch, n_steps, RATE_INV)
+    # Add-compare-select: next state (b, j) extends predecessor 2j (pm[0::2])
+    # by branch[b, j] or 2j + 1 (pm[1::2]) by -branch[b, j]. New metrics go to
+    # the spare buffer, which then swaps with pm. np.maximum equals the
+    # survivor select up to the sign of a tied zero, which no comparison sees.
+    pm = np.full((_N_STATES, n_batch), -1e30)
+    pm[0] = 0.0
+    spare = np.empty_like(pm)
+    branch = np.empty((2, half, n_batch))
+    survivor = np.empty((n_steps, 2, half, n_batch), dtype=bool)
     for t in range(n_steps):
-        corr = steps[:, t, :] @ _PATTERN_SIGNS.T  # (B, 8) pattern scores
-        sc0 = pm[:, _PRED0] + corr[:, _OUT_P0]
-        sc1 = pm[:, _PRED1] + corr[:, _OUT_P1]
-        take1 = sc1 > sc0  # ties -> predecessor 0, the 0-branch
-        pm = np.where(take1, sc1, sc0)
-        choose_p1[t] = take1
+        corr[t].take(_BRANCH, 0, branch, "clip")
+        via0 = spare.reshape(2, half, n_batch)
+        np.add(pm[0::2], branch, out=via0)
+        np.subtract(pm[1::2], branch, out=branch)
+        np.greater(branch, via0, out=survivor[t])  # ties -> predecessor 0, the 0-branch
+        np.maximum(via0, branch, out=via0)
+        pm, spare = spare, pm
 
     # Zero tail forces the final state to 0.
+    survivor = survivor.reshape(n_steps, _N_STATES, n_batch)
     state = np.zeros(n_batch, dtype=np.int64)
     decoded = np.empty((n_batch, n_steps), dtype=np.int64)
-    rows = np.arange(n_batch)
+    cols = np.arange(n_batch)
     for t in range(n_steps - 1, -1, -1):
-        decoded[:, t] = _B_IN[state]
-        take1 = choose_p1[t][rows, state]
-        state = np.where(take1, _PRED1[state], _PRED0[state])
+        decoded[:, t] = state >> (TAIL_BITS - 1)
+        state = ((state & (half - 1)) << 1) | survivor[t][state, cols]
     return decoded[:, : n_steps - TAIL_BITS]
 
 

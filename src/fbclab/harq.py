@@ -5,6 +5,10 @@ channel LLRs of all receptions before re-running Viterbi. Acknowledgment is
 genie-aided by default (decoded bits compared with the truth); a CRC-16 check
 can be enabled instead, in which case the CRC is carried inside the K info
 bits.
+
+The CRC register is linear over GF(2) and starts at 0xFFFF, so the CRC of a
+K-bit block is the affine map crc(d) = (d @ A + c) mod 2, with A and c built
+once per K. One matrix product checks or tags a whole batch.
 """
 
 from __future__ import annotations
@@ -40,12 +44,32 @@ class HarqConfig:
 
 
 def crc16(bits: np.ndarray) -> np.ndarray:
-    """CRC-16/CCITT remainder of a bit vector, MSB first."""
-    reg = 0xFFFF
-    for b in np.asarray(bits, dtype=int):
-        reg ^= int(b) << 15
-        reg = ((reg << 1) ^ CRC16_POLY) & 0xFFFF if reg & 0x8000 else (reg << 1) & 0xFFFF
-    return np.array([(reg >> i) & 1 for i in range(15, -1, -1)], dtype=np.int64)
+    """CRC-16/CCITT remainders of (..., K) bit vectors, MSB first: (..., 16)."""
+    bits = np.asarray(bits, dtype=np.int64)
+    a, c = _crc_map(bits.shape[-1])
+    return (bits @ a + c) & 1
+
+
+@lru_cache(maxsize=8)
+def _crc_map(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CRC of k bits as an affine GF(2) map, crc(d) = (d @ A + c) mod 2.
+
+    Shifting bit d_i into the register multiplies it by x^16 and then by x
+    once per later bit, so row i of A is x^(16 + k-1-i) mod the generator
+    (crc(e_i) xor crc(0)); the 0xFFFF preset shifted k times gives c = crc(0).
+    """
+
+    def times_x(reg: int) -> int:
+        reg <<= 1
+        return (reg ^ CRC16_POLY) & 0xFFFF if reg & 0x10000 else reg
+
+    rows, reg, preset = [], CRC16_POLY, 0xFFFF  # CRC16_POLY = x^16 mod the generator
+    for _ in range(k):
+        rows.insert(0, reg)
+        reg, preset = times_x(reg), times_x(preset)
+    shifts = np.arange(CRC16_LEN - 1, -1, -1)
+    a = (np.array(rows, dtype=np.int64).reshape(k, 1) >> shifts) & 1
+    return a, (preset >> shifts) & 1
 
 
 @lru_cache(maxsize=8)
@@ -64,7 +88,7 @@ def conv_encode_batch(bits: np.ndarray) -> np.ndarray:
 def _draw_payload(config: HarqConfig, rng: np.random.Generator, n: int) -> np.ndarray:
     if config.use_crc16:
         data = rng.integers(0, 2, (n, config.k - CRC16_LEN))
-        return np.concatenate([data, np.array([crc16(d) for d in data])], axis=1)
+        return np.concatenate([data, crc16(data)], axis=1)
     return rng.integers(0, 2, (n, config.k))
 
 
@@ -87,7 +111,7 @@ def harq_cc_trial_batch(
             break
         decoded = viterbi_decode_batch(combined[idx])
         if config.use_crc16:
-            ok = np.array([np.array_equal(crc16(d[:-CRC16_LEN]), d[-CRC16_LEN:]) for d in decoded])
+            ok = np.all(crc16(decoded[:, :-CRC16_LEN]) == decoded[:, -CRC16_LEN:], axis=1)
         else:
             ok = np.all(decoded == bits[idx], axis=1)
         success[idx[ok]] = True

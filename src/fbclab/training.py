@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import autodiff as ad
 from .afc import AfcModel, forward_backward, logits_to_bits, session_graph
@@ -97,8 +97,8 @@ def mixture_cdf(x, alpha: float, config: CurriculumConfig):
     """
     s1 = np.sqrt(config.p_orig.std_db**2 + config.sigma_p**2)
     s2 = np.sqrt(config.p_targ.std_db**2 + config.sigma_p**2)
-    return alpha * norm.cdf(x, config.p_orig.mean_db, s1) + (1.0 - alpha) * norm.cdf(
-        x, config.p_targ.mean_db, s2
+    return alpha * ndtr((x - config.p_orig.mean_db) / s1) + (1.0 - alpha) * ndtr(
+        (x - config.p_targ.mean_db) / s2
     )
 
 

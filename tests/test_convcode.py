@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from fbclab.convcode import (
     GENERATORS,
+    TAIL_BITS,
     chase_combine,
     conv_encode,
     modulate_bpsk,
@@ -100,3 +103,62 @@ def test_chase_empty_rejected():
         chase_combine([])
     with pytest.raises(InputDomainError):
         chase_combine([np.ones(3), np.ones(4)])
+
+
+@lru_cache(maxsize=None)
+def _reference_viterbi(llrs: tuple) -> list:
+    """Scalar add-compare-select and traceback over one zero-tail codeword.
+
+    State s holds the last six inputs, newest in the MSB; on input b the
+    register is (b << 6) | s, it emits the parities of register & generator,
+    and the next state is the register >> 1.
+    The survivor comes from predecessor 2j + 1 only when its metric is
+    strictly larger: ties go to predecessor 2j, the 0-branch.
+    """
+    n_steps = len(llrs) // 3
+    n_states = 1 << TAIL_BITS
+    signs = [
+        [1 - 2 * (bin(reg & g).count("1") & 1) for g in GENERATORS] for reg in range(2 * n_states)
+    ]
+    metric = [0.0] + [float("-inf")] * (n_states - 1)
+    history = []
+    for t in range(n_steps):
+        step = llrs[3 * t : 3 * t + 3]
+        new_metric = [0.0] * n_states
+        chosen = [0] * n_states
+        for ns in range(n_states):
+            b = ns >> (TAIL_BITS - 1)
+            scores = []
+            for p in (2 * (ns & (n_states // 2 - 1)), 2 * (ns & (n_states // 2 - 1)) + 1):
+                corr = 0.0
+                for llr, sign in zip(step, signs[(b << TAIL_BITS) | p]):
+                    corr += llr * sign
+                scores.append((metric[p] + corr, p))
+            take1 = scores[1][0] > scores[0][0]
+            new_metric[ns], chosen[ns] = scores[take1]
+        metric = new_metric
+        history.append(chosen)
+    state, bits = 0, []
+    for chosen in reversed(history):
+        bits.append(state >> (TAIL_BITS - 1))
+        state = chosen[state]
+    return bits[::-1][: n_steps - TAIL_BITS]
+
+
+@pytest.mark.parametrize("n_batch,k", [(1, 47), (7, 47), (500, 5)])
+def test_batch_matches_scalar_reference_on_ties(n_batch, k):
+    rng = np.random.default_rng(n_batch)
+    n = 3 * (k + TAIL_BITS)
+    bits = rng.integers(0, 2, (n_batch, k))
+    noisy = np.stack([modulate_bpsk(conv_encode(row)) for row in bits])
+    noisy += rng.standard_normal(noisy.shape)
+    cases = [
+        np.zeros((n_batch, n)),                    # every comparison is a tie
+        rng.integers(-2, 3, (n_batch, n)) * 0.5,   # half-integer LLRs, many ties
+        np.round(2 * noisy) / 2,                   # quantised noisy codewords
+    ]
+    for llrs in cases:
+        decoded = viterbi_decode_batch(llrs)
+        assert decoded.shape == (n_batch, k)
+        for row, llr in zip(decoded, llrs):
+            assert row.tolist() == _reference_viterbi(tuple(llr.tolist()))

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -336,3 +340,18 @@ def test_tunable_registry_covers_dataclasses():
             kind, _, key = target.partition(".")
             assert kind in SCHEMAS, target
             assert key in SCHEMAS[kind], target
+
+
+def test_package_import_leaves_scipy_stats_out():
+    # scipy.stats takes most of a second to import, and every CLI call pays
+    # for whatever `import fbclab.experiments` pulls in.
+    import fbclab
+
+    src = str(Path(fbclab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, fbclab.experiments; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -4,7 +4,9 @@ import pytest
 from fbclab.convcode import bpsk_llr, chase_combine, modulate_bpsk
 from fbclab.errors import ConfigError
 from fbclab.harq import (
+    CRC16_LEN,
     HarqConfig,
+    _draw_payload,
     conv_encode_batch,
     crc16,
     effective_snr_db,
@@ -73,6 +75,39 @@ def test_crc16_detects_state():
     flipped = data.copy()
     flipped[5] ^= 1
     assert not np.array_equal(crc16(flipped), tag)
+
+
+def _crc16_bit_serial(bits):
+    """CRC-16/CCITT-FALSE shifted in one bit at a time: poly 0x1021, preset 0xFFFF."""
+    reg = 0xFFFF
+    for b in bits:
+        reg ^= int(b) << 15
+        reg = ((reg << 1) ^ 0x1021) & 0xFFFF if reg & 0x8000 else (reg << 1) & 0xFFFF
+    return [(reg >> i) & 1 for i in range(15, -1, -1)]
+
+
+@pytest.mark.parametrize("k", [1, 16, 31, 47])
+def test_crc16_batch_matches_bit_serial_reference(k):
+    data = np.random.default_rng(k).integers(0, 2, (40, k))
+    tags = crc16(data)
+    assert tags.shape == (40, CRC16_LEN)
+    for row, tag in zip(data, tags):
+        assert tag.tolist() == _crc16_bit_serial(row)
+        assert np.array_equal(crc16(row), tag)
+
+
+def test_crc16_catalogue_check_value():
+    # CRC-16/CCITT-FALSE of ASCII "123456789", fed MSB first, is 0x29B1.
+    bits = np.unpackbits(np.frombuffer(b"123456789", dtype=np.uint8))
+    assert int("".join(str(b) for b in crc16(bits)), 2) == 0x29B1
+
+
+def test_crc_payload_rows_pass_the_check():
+    cfg = HarqConfig(k=47, use_crc16=True)
+    payload = _draw_payload(cfg, np.random.default_rng(6), 200)
+    assert payload.shape == (200, 47)
+    for row in payload:
+        assert row[-CRC16_LEN:].tolist() == _crc16_bit_serial(row[:-CRC16_LEN])
 
 
 def test_crc16_mode_runs():

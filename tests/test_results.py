@@ -168,6 +168,22 @@ GOLDEN = [
         {"per.csv": "9d395af9273232ee8d639bb0472cf5a7f4895c86ff93e3c8bc04b84c3c6139a5"},
         id="per-sweep-uncoded",
     ),
+    pytest.param(
+        "per-sweep",
+        {"scheme": "harq-cc", "snr_grid": [-10, -4, 2], "max_trials": 1000,
+         "target_errors": 1001, "batch_size": 300},
+        2,
+        {"per.csv": "f79b3f5d8e7708ba36814c5447be68f3c26eb705251c89b35fd6191081ee9512"},
+        id="per-sweep-harq-genie",
+    ),
+    pytest.param(
+        "per-sweep",
+        {"scheme": "harq-cc", "harq_use_crc16": True, "harq_max_attempts": 3,
+         "snr_grid": [-10, -4, 2], "max_trials": 1000, "target_errors": 1001, "batch_size": 300},
+        2,
+        {"per.csv": "9b0297f0d6b27d9576057d7fb03ef2663b8b8182cbf9939e89b001c883136108"},
+        id="per-sweep-harq-crc16",
+    ),
 ]
 
 
