@@ -149,18 +149,33 @@ def sample_snr_trace(config: SnrTraceConfig, duration_ms: float) -> list[TracePo
 def sample_trace_kind(
     kind: TraceKind, duration_ms: float, rng: np.random.Generator
 ) -> list[TracePoint]:
-    """Sample a trace with an externally owned random stream."""
+    """Sample a trace with an externally owned random stream: sample_traces, n = 1."""
+    times, values = sample_traces(kind, duration_ms, rng, 1)
+    return list(zip(times.tolist(), values[0].tolist()))
+
+
+def sample_traces(
+    kind: TraceKind, duration_ms: float, rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample n independent traces of one kind on a shared time grid.
+
+    Returns the ceil(duration/step) times 0, step, 2*step, ... and an
+    (n, points) array of SNRs, one trace per row. A mean-reverting kind draws
+    its noise as one (n, points) array, which a Generator fills in the same
+    order as n successive single-trace draws, so row i equals the i-th of n
+    sample_trace_kind calls on the same stream.
+    """
     if duration_ms <= 0:
         raise InputDomainError("duration_ms must be > 0")
-    n = int(np.ceil(duration_ms / kind.step_ms))
-    times = np.arange(n) * kind.step_ms
+    points = int(np.ceil(duration_ms / kind.step_ms))
+    times = np.arange(points) * kind.step_ms
 
     if isinstance(kind, FixedTrace):
-        values = np.full(n, float(kind.level_db))
+        values = np.full((n, points), float(kind.level_db))
     elif isinstance(kind, PiecewiseTrace):
         ts = np.array([t for t, _ in kind.points])
         vs = np.array([v for _, v in kind.points])
-        values = np.interp(times, ts, vs)
+        values = np.tile(np.interp(times, ts, vs), (n, 1))
     elif isinstance(kind, MeanRevertingTrace):
         theta, sigma, dt = kind.reversion_rate, kind.volatility, kind.step_ms
         decay = np.exp(-theta * dt)
@@ -168,15 +183,38 @@ def sample_trace_kind(
             step_sd = sigma * np.sqrt((1.0 - np.exp(-2.0 * theta * dt)) / (2.0 * theta))
         else:
             step_sd = sigma * np.sqrt(dt)
-        x = kind.mean_db if kind.start_db is None else kind.start_db
-        values = np.empty(n)
-        noise = step_sd * rng.standard_normal(n)
-        for i in range(n):
-            values[i] = x
-            x = x * decay + kind.mean_db * (1.0 - decay) + noise[i]
+        start = kind.mean_db if kind.start_db is None else kind.start_db
+        x = np.full(n, float(start))
+        values = np.empty((n, points))
+        noise = step_sd * rng.standard_normal((n, points))
+        for i in range(points):
+            values[:, i] = x
+            x = x * decay + kind.mean_db * (1.0 - decay) + noise[:, i]
     else:
         raise ConfigError(f"unknown trace kind: {type(kind).__name__}")
-    return list(zip(times.tolist(), values.tolist()))
+    return times, values
+
+
+def traces_at(times: np.ndarray, values: np.ndarray, query_ms) -> np.ndarray:
+    """Every trace row of sample_traces read at each query time: (n, queries).
+
+    Linear interpolation, clamped at the ends. Each entry equals
+    np.interp(q, times, row) for a scalar q bit for bit: a query on a grid
+    time takes that sample, and one between grid times j and j+1 takes
+    (v[j+1] - v[j]) / (t[j+1] - t[j]) * (q - t[j]) + v[j].
+    """
+    q = np.asarray(query_ms, dtype=float)
+    j = np.searchsorted(times, q, side="right") - 1
+    between = (j >= 0) & (j < times.size - 1)
+    j = np.clip(j, 0, times.size - 1)
+    between &= times[j] != q
+    out = values[:, j]
+    c = np.flatnonzero(between)
+    if c.size:
+        lo, hi = j[c], j[c] + 1
+        slope = (values[:, hi] - values[:, lo]) / (times[hi] - times[lo])
+        out[:, c] = slope * (q[c] - times[lo]) + values[:, lo]
+    return out
 
 
 def trace_value_at(trace: list[TracePoint], time_ms: float) -> float:

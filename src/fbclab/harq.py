@@ -76,13 +76,18 @@ def _crc_map(k: int) -> tuple[np.ndarray, np.ndarray]:
 def _generator_matrix(k: int) -> np.ndarray:
     """GF(2) generator matrix of the zero-tail code, built from impulses."""
     rows = [conv_encode(np.eye(k, dtype=np.int64)[i]) for i in range(k)]
-    return np.array(rows, dtype=np.int64)
+    return np.array(rows, dtype=np.float64)
 
 
 def conv_encode_batch(bits: np.ndarray) -> np.ndarray:
-    """Encode a (B, K) bit matrix via the generator matrix (linearity)."""
-    bits = np.asarray(bits, dtype=np.int64)
-    return (bits @ _generator_matrix(bits.shape[1])) & 1
+    """Encode a (B, K) bit matrix via the generator matrix (linearity).
+
+    The product runs through BLAS in float64, where numpy has no BLAS path
+    for int64. Each entry counts at most K ones, an integer far below 2^53,
+    so every summation order gives it exactly and the parity is exact.
+    """
+    bits = np.asarray(bits, dtype=np.float64)
+    return (bits @ _generator_matrix(bits.shape[1])).astype(np.int64) & 1
 
 
 def _draw_payload(config: HarqConfig, rng: np.random.Generator, n: int) -> np.ndarray:

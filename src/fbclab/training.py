@@ -18,7 +18,7 @@ from scipy.special import ndtr
 
 from . import autodiff as ad
 from .afc import AfcModel, forward_backward, logits_to_bits, session_graph
-from .channel import TraceKind, sample_trace_kind, trace_value_at
+from .channel import TraceKind, sample_traces, traces_at
 from .errors import ConfigError, NumericalFailure
 from .layers import Module
 from .per import PerPoint, measure_per
@@ -205,20 +205,21 @@ def neural_trial_fn(
 
     Every round runs at the grid SNR unless uplink_trace is given: then each
     session draws its own trace of kind uplink_trace(snr_db) and round t sees
-    the trace at t * round_period_ms.
+    the trace at t * round_period_ms. A trial of n sessions draws, in this
+    order: the n traces as one (n, points) batch (channel.sample_traces, the
+    same numbers as n single-trace draws), the (n, k) message bits, then the
+    session noise round by round. That order fixes seeded results.
     """
     c = model.config
     duration = max(c.rounds * round_period_ms, round_period_ms)
+    round_ms = np.arange(c.rounds) * round_period_ms
 
     def trial(snr_db: float, rng: np.random.Generator, n: int) -> np.ndarray:
         if uplink_trace is None:
             snrs = np.full(c.rounds, snr_db)
         else:
-            # Draw order (traces, then bits, then session noise) fixes seeded results.
-            snrs = np.empty((n, c.rounds))
-            for i in range(n):
-                trace = sample_trace_kind(uplink_trace(snr_db), duration, rng)
-                snrs[i] = [trace_value_at(trace, t * round_period_ms) for t in range(c.rounds)]
+            times, values = sample_traces(uplink_trace(snr_db), duration, rng, n)
+            snrs = traces_at(times, values, round_ms)
         bits = rng.integers(0, 2, (n, c.k))
         with ad.no_grad():
             logits = session_graph(

@@ -94,6 +94,30 @@ def test_softmax():
     check_grad(lambda t: (ad.softmax(t) * Tensor(C)).sum(), (3, 4))
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("shape", [(64, 16, 16), (200, 16, 8), (7, 9), (5, 33), (3, 1)])
+def test_row_max_matches_numpy_max(shape):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(shape)
+    assert np.array_equal(_bits(ad._max_last(x)), _bits(x.max(axis=-1, keepdims=True)))
+
+    special = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0], size=shape)
+    got, want = ad._max_last(special), special.max(axis=-1, keepdims=True)
+    zero = want == 0.0
+    # Bit for bit wherever the max is not a zero (NaN and infinities included).
+    assert np.array_equal(_bits(got)[~zero], _bits(want)[~zero])
+    # A zero max may take either sign, as numpy's own reduction order decides,
+    # and the softmax built on it is bit for bit the one built on x.max.
+    assert np.array_equal(got[zero], want[zero])
+    with np.errstate(invalid="ignore"):
+        e = np.exp(special - want)
+        expected = e / ad._sum_last(e)
+        assert np.array_equal(_bits(ad.softmax(Tensor(special)).data), _bits(expected))
+
+
 def test_cross_entropy():
     idx = np.random.default_rng(1).integers(0, 4, (2, 3))
     check_grad(lambda t: ad.cross_entropy(t, idx), (2, 3, 4))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -355,3 +356,28 @@ def test_package_import_leaves_scipy_stats_out():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator setting is glibc-only")
+def test_package_import_keeps_freed_buffers_in_heap():
+    # Each op result of 128 KiB or more used to be a fresh mmap or heap memory
+    # just trimmed back to the OS, so it cost one minor page fault per 4 KiB.
+    import fbclab
+
+    src = str(Path(fbclab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import resource, fbclab, numpy as np\n"
+        "x = np.ones(512 * 1024 // 8)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(200):\n"
+        "    y = x * 2.0\n"
+        "    z = y + 1.0\n"
+        "    del y, z\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    assert int(out.stdout) < 2000
