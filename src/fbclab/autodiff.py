@@ -1,10 +1,32 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps a float64 ndarray plus the tape entries needed to backpropagate
-through the session graph: elementwise arithmetic with broadcasting, batched
-matmul, reductions, concatenation, and the handful of nonlinearities the codec
-uses. Gradients are exact; every primitive's backward rule is covered by a
+A Tensor wraps a float64 ndarray plus, when a gradient flows through it, a
+tape node: elementwise arithmetic with broadcasting, batched matmul,
+reductions, concatenation, and the handful of nonlinearities the codec uses.
+Gradients are exact; every primitive's backward rule is covered by a
 finite-difference test.
+
+A node holds only what backward reads: its parent nodes with one backward
+rule each, or, for a leaf (a parameter or a flagged input), the gradient it
+accumulates, which the leaf's `grad` reads. A node never refers to a
+Tensor, so no reference cycle delays freeing a dropped model or graph. A
+rule captures exactly the arrays and shapes its formula reads, never an
+operand Tensor: a sum keeps shapes, a product with a constant keeps the
+constant, `exp` and `sqrt` their output, `log` its input, a matmul its
+operands. So an op's output array is freed as soon as no Python name and no
+rule refers to it, as in PyTorch (Paszke et al., 2019), where graph nodes
+hold saved tensors, not outputs. The graph itself lives until its output is
+dropped, and backward may run on it more than once.
+
+In-place rule: an array may be overwritten only when no rule saved it and no
+other name holds its Tensor. `add` and `mul` take `out=`, one of their
+operands, to write the result into its array; the node is the one `a + b`
+and `a * b` record. Three call sites use it: `Linear` adds its bias into its
+GEMM output, `SelfAttention` scales its score product, and
+`TransformerLayer` adds the residual into the branch output. Primitives
+reuse their own temporaries (`out=`) where no rule saved them. Every value
+comes from the same floating-point operations in the same order as without
+reuse, so results are bit for bit the same.
 
 Two fused primitives keep the tape short: `layer_norm` records one node with
 the closed-form backward of Ba et al. (2016), "Layer Normalization", and
@@ -83,16 +105,35 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+class _Node:
+    """A tape entry: (parent node, backward rule) pairs, or, with no parents,
+    a leaf and the gradient it has accumulated."""
+
+    __slots__ = ("parents", "grad")
+
+    def __init__(self, parents: tuple = ()):
+        self.parents = parents
+        self.grad: np.ndarray | None = None
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._parents: list[tuple[Tensor, object]] = []
+        self._node: _Node | None = _Node() if requires_grad else None
 
     # -- plumbing ----------------------------------------------------------
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The gradient a leaf has accumulated; None before backward and on
+        tensors that are not leaves."""
+        return None if self._node is None else self._node.grad
 
     @property
     def shape(self):
@@ -113,27 +154,33 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self):
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     def backward(self, grad: np.ndarray | None = None):
-        """Backpropagate from this tensor through the recorded graph."""
+        """Backpropagate from this tensor through the recorded graph.
+
+        The graph is kept, so calling backward again adds the same gradients.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without a seed needs a scalar output")
             grad = np.ones_like(self.data)
 
         grad = np.asarray(grad, dtype=np.float64)
-        if not self._parents:
-            if self.requires_grad:
-                self.grad = grad if self.grad is None else self.grad + grad
+        root = self._node
+        if root is None:
+            return
+        if not root.parents:
+            root.grad = grad if root.grad is None else root.grad + grad
             return
 
         # Topological order of the interior nodes. Gradients are stored only
         # on leaves (parameters and flagged inputs), which take each
         # contribution as it arrives; interior nodes just route them.
-        order: list[Tensor] = []
+        order: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -143,16 +190,16 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent, _ in node._parents:
-                if parent._parents and id(parent) not in seen:
+            for parent, _ in node.parents:
+                if parent.parents and id(parent) not in seen:
                     stack.append((parent, False))
 
-        grads: dict[int, np.ndarray] = {id(self): grad}
+        grads: dict[int, np.ndarray] = {id(root): grad}
         for node in reversed(order):
             g = grads.pop(id(node))
-            for parent, fn in node._parents:
+            for parent, fn in node.parents:
                 contribution = fn(g)
-                if not parent._parents:
+                if not parent.parents:
                     parent.grad = contribution if parent.grad is None else parent.grad + contribution
                 elif id(parent) in grads:
                     grads[id(parent)] = grads[id(parent)] + contribution
@@ -162,40 +209,33 @@ class Tensor:
     # -- operators ---------------------------------------------------------
 
     def __add__(self, other):
-        other = as_tensor(other)
-        out = _make(self.data + other.data, [
-            (self, lambda g: _unbroadcast(g, self.data.shape)),
-            (other, lambda g: _unbroadcast(g, other.data.shape)),
-        ])
-        return out
+        return add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = as_tensor(other)
+        sa, sb = self.data.shape, other.data.shape
         return _make(self.data - other.data, [
-            (self, lambda g: _unbroadcast(g, self.data.shape)),
-            (other, lambda g: _unbroadcast(-g, other.data.shape)),
+            (self, lambda g: _unbroadcast(g, sa)),
+            (other, lambda g: _unbroadcast(-g, sb)),
         ])
 
     def __rsub__(self, other):
         return as_tensor(other) - self
 
     def __mul__(self, other):
-        other = as_tensor(other)
-        return _make(self.data * other.data, [
-            (self, lambda g: _unbroadcast(g * other.data, self.data.shape)),
-            (other, lambda g: _unbroadcast(g * self.data, other.data.shape)),
-        ])
+        return mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = as_tensor(other)
-        return _make(self.data / other.data, [
-            (self, lambda g: _unbroadcast(g / other.data, self.data.shape)),
-            (other, lambda g: _unbroadcast(
-                -g * self.data / (other.data * other.data), other.data.shape)),
+        a, b = self.data, other.data
+        sa, sb = a.shape, b.shape
+        return _make(a / b, [
+            (self, lambda g: _unbroadcast(g / b, sa)),
+            (other, lambda g: _unbroadcast(-g * a / (b * b), sb)),
         ])
 
     def __rtruediv__(self, other):
@@ -207,25 +247,30 @@ class Tensor:
     def __pow__(self, p: float):
         if not isinstance(p, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        return _make(self.data ** p, [
-            (self, lambda g: g * p * self.data ** (p - 1)),
-        ])
+        x = self.data
+        return _make(x ** p, [(self, lambda g: g * p * x ** (p - 1))])
 
     def __matmul__(self, other):
         other = as_tensor(other)
         a, b = self.data, other.data
+        a_shape = a.shape
 
         # A 2-D right operand is a weight shared across the leading axes of
         # a: both gradients are then one GEMM over those axes flattened.
-        def grad_a(g):
-            if b.ndim == 2:
-                return (g.reshape(-1, g.shape[-1]) @ b.T).reshape(a.shape)
-            return _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
+        if b.ndim == 2:
+            def grad_a(g):
+                return (g.reshape(-1, g.shape[-1]) @ b.T).reshape(a_shape)
 
-        def grad_b(g):
-            if b.ndim == 2:
-                return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            return _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+            def grad_b(g):
+                return a.reshape(-1, a_shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            b_shape = b.shape
+
+            def grad_a(g):
+                return _unbroadcast(g @ np.swapaxes(b, -1, -2), a_shape)
+
+            def grad_b(g):
+                return _unbroadcast(np.swapaxes(a, -1, -2) @ g, b_shape)
 
         return _make(a @ b, [(self, grad_a), (other, grad_b)])
 
@@ -251,9 +296,7 @@ class Tensor:
         shape = self.data.shape
 
         def grad_fn(g):
-            if axis is None:
-                return np.broadcast_to(g, shape).copy()
-            if not keepdims:
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             return np.broadcast_to(g, shape).copy()
 
@@ -268,17 +311,61 @@ class Tensor:
 
 
 def _make(data: np.ndarray, parents) -> Tensor:
+    """A Tensor over data whose node keeps the rules of the operands that need one."""
     out = Tensor(data)
     if _grad_enabled:
-        kept = [(p, fn) for p, fn in parents if p.requires_grad or p._parents]
+        kept = tuple((p._node, fn) for p, fn in parents if p._node is not None)
         if kept:
-            out._parents = kept
-            out.requires_grad = True
+            out._node = _Node(kept)
     return out
 
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def add(a, b, out: Tensor | None = None) -> Tensor:
+    """a + b, recorded as one node.
+
+    With out (a or b), the sum is written into out's array instead of a new
+    one. The caller guarantees that nothing else reads that array: no rule
+    saved it and no other name holds its Tensor. The rules keep only shapes,
+    so the other operand may be anything.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.data.shape, b.data.shape
+    if out is None:
+        data = a.data + b.data
+    elif out is a or out is b:
+        data = np.add(a.data, b.data, out=out.data)
+    else:
+        raise ValueError("add writes in place only into one of its operands")
+    return _make(data, [
+        (a, lambda g: _unbroadcast(g, sa)),
+        (b, lambda g: _unbroadcast(g, sb)),
+    ])
+
+
+def mul(a, b, out: Tensor | None = None) -> Tensor:
+    """a * b, recorded as one node.
+
+    With out=a, the product is written into a's array, under the same
+    guarantee as `add`; b must then be a constant, because b's rule would
+    read a's overwritten values.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    x, y = a.data, b.data
+    sa, sb = x.shape, y.shape
+    if out is None:
+        data = x * y
+    elif out is a and b._node is None:
+        data = np.multiply(x, y, out=x)
+    else:
+        raise ValueError("mul writes in place only into its first operand, times a constant")
+    return _make(data, [
+        (a, lambda g: _unbroadcast(g * y, sa)),
+        (b, lambda g: _unbroadcast(g * x, sb)),
+    ])
 
 
 # -- functions ---------------------------------------------------------------
@@ -311,7 +398,8 @@ def exp(t: Tensor) -> Tensor:
 
 def log(t: Tensor) -> Tensor:
     t = as_tensor(t)
-    return _make(np.log(t.data), [(t, lambda g: g / t.data)])
+    x = t.data
+    return _make(np.log(x), [(t, lambda g: g / x)])
 
 
 def sqrt(t: Tensor) -> Tensor:
@@ -327,8 +415,16 @@ def gelu(t: Tensor) -> Tensor:
     cdf = ndtr(x)
 
     def grad_fn(g):
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-        return g * (cdf + x * pdf)
+        # g * (cdf + x * pdf) with pdf = exp(-x^2 / 2) / sqrt(2 pi), in one
+        # temporary.
+        d = -0.5 * x
+        d *= x
+        np.exp(d, out=d)
+        d /= np.sqrt(2.0 * np.pi)
+        d *= x
+        d += cdf
+        d *= g
+        return d
 
     return _make(x * cdf, [(t, grad_fn)])
 
@@ -336,12 +432,17 @@ def gelu(t: Tensor) -> Tensor:
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
     t = as_tensor(t)
     x = np.moveaxis(t.data, axis, -1)
-    e = np.exp(x - _max_last(x))
-    p = e / _sum_last(e)
+    p = x - _max_last(x)
+    np.exp(p, out=p)
+    p /= _sum_last(p)
 
     def grad_fn(g):
+        # p * (g - sum(g * p)), in one temporary.
         g = np.moveaxis(g, axis, -1)
-        return np.moveaxis(p * (g - _sum_last(g * p)), -1, axis)
+        d = g * p
+        np.subtract(g, _sum_last(d), out=d)
+        d *= p
+        return np.moveaxis(d, -1, axis)
 
     return _make(np.moveaxis(p, -1, axis), [(t, grad_fn)])
 
@@ -351,23 +452,30 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 
     One tape node; the backward is the closed form
     dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sqrt(var + eps)
-    with dxhat = g * gamma, means taken over the last axis.
+    with dxhat = g * gamma, means taken over the last axis. The node keeps
+    xhat, the row scales and gamma's array, not x.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     shape = x.data.shape
     n = shape[-1]
     x2 = x.data.reshape(-1, n)
     ones = np.ones(n)
-    centered = x2 - (x2 @ ones * (1.0 / n))[:, None]
-    std = np.sqrt((centered * centered) @ ones * (1.0 / n) + eps)[:, None]
-    xhat = centered / std
-    out = (xhat * gamma.data + beta.data).reshape(shape)
+    g_data = gamma.data
+    xhat = x2 - (x2 @ ones * (1.0 / n))[:, None]
+    std = np.sqrt((xhat * xhat) @ ones * (1.0 / n) + eps)[:, None]
+    xhat /= std
+    out = xhat * g_data
+    out += beta.data
 
     def grad_x(g):
-        dxhat = g.reshape(-1, n) * gamma.data
-        mean_d = dxhat @ ones * (1.0 / n)
-        mean_dx = (dxhat * xhat) @ ones * (1.0 / n)
-        return ((dxhat - mean_d[:, None] - xhat * mean_dx[:, None]) / std).reshape(shape)
+        d = g.reshape(-1, n) * g_data
+        t = d * xhat
+        mean_dx = t @ ones * (1.0 / n)
+        d -= (d @ ones * (1.0 / n))[:, None]
+        np.multiply(xhat, mean_dx[:, None], out=t)
+        d -= t
+        d /= std
+        return d.reshape(shape)
 
     def grad_gamma(g):
         return _sum_rows(g.reshape(-1, n) * xhat)
@@ -375,7 +483,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     def grad_beta(g):
         return _sum_rows(g.reshape(-1, n))
 
-    return _make(out, [(x, grad_x), (gamma, grad_gamma), (beta, grad_beta)])
+    return _make(out.reshape(shape), [(x, grad_x), (gamma, grad_gamma), (beta, grad_beta)])
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -385,21 +493,24 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     node; the backward is (softmax(logits) - onehot(targets)) / positions.
     """
     logits = as_tensor(logits)
-    n = logits.data.shape[-1]
+    shape = logits.data.shape
+    n = shape[-1]
     z = logits.data.reshape(-1, n)
     rows = np.arange(z.shape[0])
     idx = np.asarray(targets, dtype=np.int64).reshape(-1)
     if idx.size != rows.size:
         raise ValueError(f"{idx.size} targets for {rows.size} positions")
-    shifted = z - _max_last(z)
-    e = np.exp(shifted)
+    e = z - _max_last(z)
+    picked = e[rows, idx]
+    np.exp(e, out=e)
     total = e @ np.ones(n)
-    picked = shifted[rows, idx] - np.log(total)
+    picked -= np.log(total)
     scale = 1.0 / rows.size
 
     def grad_fn(g):
         d = e / total[:, None]
         d[rows, idx] -= 1.0
-        return (d * (g * scale)).reshape(logits.data.shape)
+        d *= g * scale
+        return d.reshape(shape)
 
     return _make(np.asarray(-(picked.sum() * scale)), [(logits, grad_fn)])

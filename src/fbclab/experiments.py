@@ -8,6 +8,9 @@ config, its hash, the seed, and the package version. Every file goes through
 mode a plain `open()` gives; `emit_results`, `parse_results` and `write_json`
 are re-exported from there. Rerunning with the same config and seed
 reproduces result bodies byte for byte; only the manifest timestamp differs.
+A train run that hits a non-finite loss still writes the history of the
+steps it made and a manifest with `status: "failed"` and the failing step,
+then re-raises.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .afc import (
 )
 from .analysis import coverage_report, fpga_report
 from .channel import MeanRevertingTrace, PiecewiseTrace
-from .errors import ConfigError
+from .errors import ConfigError, NumericalFailure
 from .gradcheck import run_gradient_checks
 from .harq import HarqConfig, harq_trial_fn, uncoded_bpsk_trial_fn
 from .per import measure_per, write_per_csv
@@ -521,7 +524,15 @@ def _run_train(p: dict, seed: int, out: Path) -> list[str]:
         noiseless_feedback=p["noiseless_feedback"],
         feedback_snr_db=p["feedback_snr_db"],
     )
-    history = train(model, curriculum, tc)
+    try:
+        history = train(model, curriculum, tc)
+    except NumericalFailure as exc:
+        # A failed run leaves the steps it made and where it stopped.
+        write_history_csv(exc.history, out / "history.csv")
+        manifest = _manifest("train", p, seed, ["history.csv"])
+        manifest.update(status="failed", failed_step=exc.step, error=str(exc))
+        write_json(out / "manifest.json", manifest)
+        raise
     write_history_csv(history, out / "history.csv")
     save_checkpoint(model, out / "model.ckpt")
     outputs = ["history.csv", "model.ckpt"]
@@ -565,14 +576,18 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out = Path(config.out_dir or default_out_dir())
     out.mkdir(parents=True, exist_ok=True)
     outputs = _RUNNERS[config.kind](params, seed, out)
-    manifest = {
-        "kind": config.kind,
+    manifest = _manifest(config.kind, params, seed, outputs)
+    write_json(out / "manifest.json", manifest)
+    return manifest
+
+
+def _manifest(kind: str, params: dict, seed, outputs: list[str]) -> dict:
+    return {
+        "kind": kind,
         "params": canonical(params),
         "seed": seed,
-        "config_sha256": config_hash(ExperimentConfig(config.kind, params, seed)),
+        "config_sha256": config_hash(ExperimentConfig(kind, params, seed)),
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
     }
-    write_json(out / "manifest.json", manifest)
-    return manifest

@@ -64,7 +64,9 @@ class Linear(Module):
         self.in_dim, self.out_dim = in_dim, out_dim
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        # No rule reads a GEMM output, so the bias goes into it in place.
+        h = x @ self.weight
+        return ad.add(h, self.bias, out=h)
 
 
 class LayerNorm(Module):
@@ -91,7 +93,8 @@ class SelfAttention(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         q, k, v = self.wq(x), self.wk(x), self.wv(x)
-        scores = (q @ k.swap_last_axes()) * self.scale
+        scores = q @ k.swap_last_axes()  # scaled in place: no rule reads it
+        scores = ad.mul(scores, self.scale, out=scores)
         return self.wo(ad.softmax(scores, axis=-1) @ v)
 
 
@@ -116,8 +119,12 @@ class TransformerLayer(Module):
         self.ff = FeedForward(d_model, ff_dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.ln1(x))
-        return x + self.ff(self.ln2(x))
+        # Each branch ends in a Linear, whose output no rule reads, so the
+        # residual is added into it in place.
+        branch = self.attn(self.ln1(x))
+        x = ad.add(x, branch, out=branch)
+        branch = self.ff(self.ln2(x))
+        return ad.add(x, branch, out=branch)
 
 
 class TransformerStack(Module):

@@ -161,7 +161,8 @@ def train(
 
     Deterministic given the seed: batches, SNR draws, and channel noise all
     come from one generator, so identical seeds give identical histories and
-    identical final weights.
+    identical final weights. A non-finite loss raises NumericalFailure whose
+    `step` is the failing step and whose `history` holds the steps before it.
     """
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(model, config)
@@ -184,7 +185,9 @@ def train(
                 feedback_snr_db=config.feedback_snr_db,
             )
         except NumericalFailure as exc:
-            raise NumericalFailure(f"training aborted at step {k}: {exc}") from exc
+            failure = NumericalFailure(f"training aborted at step {k}: {exc}")
+            failure.step, failure.history = k, history
+            raise failure from exc
         optimizer.step(model, grads)
         history.append(HistoryRow(k, loss, alpha, snr))
     return history

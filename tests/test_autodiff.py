@@ -1,8 +1,14 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from fbclab import autodiff as ad
+from fbclab.afc import AfcConfig, AfcModel, bits_to_block_targets, block_cross_entropy, session_graph
 from fbclab.autodiff import Tensor
+from fbclab.layers import Linear, SelfAttention, TransformerLayer
 
 
 def numerical_grad(f, x, h=1e-6):
@@ -200,9 +206,9 @@ def test_no_grad_suppresses_graph():
     w = Tensor(np.ones(3), requires_grad=True)
     with ad.no_grad():
         out = (w * 2.0).sum()
-    assert not out._parents
+    assert not out._node
     out2 = (w * 2.0).sum()
-    assert out2._parents
+    assert out2._node
 
 
 def test_backward_requires_scalar():
@@ -225,3 +231,222 @@ def test_grad_accumulates_across_backward_calls():
     assert w.grad[0] == 6.0
     w.zero_grad()
     assert w.grad is None
+
+
+# -- tape layout and in-place writes ---------------------------------------------
+
+
+def test_in_place_writes_only_into_an_operand():
+    a, b = Tensor(np.ones(3)), Tensor(np.ones(3))
+    w = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ValueError):
+        ad.add(a, b, out=Tensor(np.ones(3)))
+    # w's rule would read a's overwritten values.
+    with pytest.raises(ValueError):
+        ad.mul(a, w, out=a)
+    out = ad.add(a, w, out=a)
+    assert out.data is a.data and np.array_equal(out.data, [2.0, 2.0, 2.0])
+
+
+def _tiny_session_loss(model, seed):
+    cfg = model.config
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, (4, cfg.k))
+    snrs = rng.uniform(-1.0, 5.0, (4, cfg.rounds))
+    logits = session_graph(model, bits, snrs, rng, noiseless_feedback=False)
+    return block_cross_entropy(logits, bits_to_block_targets(bits, cfg))
+
+
+def test_tape_keeps_only_what_backward_reads(monkeypatch):
+    model = AfcModel(AfcConfig.tiny(), seed=21)
+    layer_norm_inputs, gelu_inputs = [], []
+    layer_norm, gelu = ad.layer_norm, ad.gelu
+
+    def recording_layer_norm(x, *args):
+        layer_norm_inputs.append(weakref.ref(x.data))
+        return layer_norm(x, *args)
+
+    def recording_gelu(t):
+        gelu_inputs.append(weakref.ref(t.data))
+        return gelu(t)
+
+    monkeypatch.setattr(ad, "layer_norm", recording_layer_norm)
+    monkeypatch.setattr(ad, "gelu", recording_gelu)
+    loss = _tiny_session_loss(model, seed=22)
+    # Embedding outputs and residual sums enter a LayerNorm and a residual
+    # add, neither of which saves them: gone once the forward returns.
+    assert layer_norm_inputs and all(ref() is None for ref in layer_norm_inputs)
+    # GELU's rule saves its input: alive as long as the graph is.
+    assert gelu_inputs and all(ref() is not None for ref in gelu_inputs)
+    del loss
+    assert all(ref() is None for ref in gelu_inputs)
+
+
+def test_dropped_model_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        model = AfcModel(AfcConfig.tiny(), seed=25)
+        _tiny_session_loss(model, seed=26).backward()
+        weights = [weakref.ref(p.data) for _, p in model.parameters()]
+        grads = [weakref.ref(p.grad) for _, p in model.parameters()]
+        del model
+        assert all(ref() is None for ref in weights + grads)
+    finally:
+        gc.enable()
+
+
+def test_default_full_forward_tape_bytes():
+    cfg = AfcConfig.default_full()
+    model = AfcModel(cfg, seed=0)
+    rng = np.random.default_rng(1)
+    bits = rng.integers(0, 2, (64, cfg.k))
+    targets = bits_to_block_targets(bits, cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = block_cross_entropy(session_graph(model, bits, np.full(cfg.rounds, 3.0), rng), targets)
+        live = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(loss.item())
+    # 150.3 MB when every intermediate lived until the step ended.
+    assert live <= 90e6, live
+
+
+def test_backward_twice_gives_identical_gradients():
+    model = AfcModel(AfcConfig.tiny(), seed=23)
+    loss = _tiny_session_loss(model, seed=24)
+    loss.backward()
+    first = {name: p.grad for name, p in model.parameters()}
+    model.zero_grad()
+    loss.backward()
+    for name, p in model.parameters():
+        assert np.array_equal(_bits(p.grad), _bits(first[name])), name
+
+
+# -- layers against op-by-op numpy references ------------------------------------
+
+
+def _sub(params, prefix):
+    return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
+
+
+def _prefixed(prefix, grads):
+    return {prefix + k: v for k, v in grads.items()}
+
+
+def linear_reference(x, p):
+    w, b = p["weight"], p["bias"]
+
+    def back(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return g @ w.T, {"weight": x.reshape(-1, x.shape[-1]).T @ g2, "bias": g2.sum(0)}
+
+    return x @ w + b, back
+
+
+def layer_norm_module_reference(x, p, eps=1e-5):
+    gamma, beta = p["gamma"], p["beta"]
+
+    def back(g):
+        _, dx, dgamma, dbeta = layer_norm_reference(x, gamma, beta, eps, g)
+        return dx, {"gamma": dgamma, "beta": dbeta}
+
+    return layer_norm_reference(x, gamma, beta, eps, np.zeros_like(x))[0], back
+
+
+def attention_reference(x, p):
+    q, back_q = linear_reference(x, _sub(p, "wq."))
+    k, back_k = linear_reference(x, _sub(p, "wk."))
+    v, back_v = linear_reference(x, _sub(p, "wv."))
+    scale = 1.0 / np.sqrt(x.shape[-1])
+    s = q @ np.swapaxes(k, -1, -2) * scale
+    e = np.exp(s - s.max(-1, keepdims=True))
+    probs = e / e.sum(-1, keepdims=True)
+    o = probs @ v
+    y, back_o = linear_reference(o, _sub(p, "wo."))
+
+    def back(g):
+        d_o, grads = back_o(g)
+        grads = _prefixed("wo.", grads)
+        d_p = d_o @ np.swapaxes(v, -1, -2)
+        d_v = np.swapaxes(probs, -1, -2) @ d_o
+        d_s = probs * (d_p - (d_p * probs).sum(-1, keepdims=True)) * scale
+        d_q = d_s @ k
+        d_k = np.swapaxes(d_s, -1, -2) @ q
+        d_x = 0.0
+        for name, d, back_w in (("wq.", d_q, back_q), ("wk.", d_k, back_k), ("wv.", d_v, back_v)):
+            dx_w, gw = back_w(d)
+            d_x = d_x + dx_w
+            grads.update(_prefixed(name, gw))
+        # q . b_k shifts a whole score row, which softmax ignores.
+        grads["wk.bias"] = np.zeros_like(grads["wk.bias"])
+        return d_x, grads
+
+    return y, back
+
+
+def feed_forward_reference(x, p):
+    from scipy.special import ndtr
+
+    u, back_up = linear_reference(x, _sub(p, "up."))
+    cdf = ndtr(u)
+    y, back_down = linear_reference(u * cdf, _sub(p, "down."))
+
+    def back(g):
+        d_a, grads = back_down(g)
+        pdf = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
+        d_x, g_up = back_up(d_a * (cdf + u * pdf))
+        return d_x, _prefixed("down.", grads) | _prefixed("up.", g_up)
+
+    return y, back
+
+
+def transformer_layer_reference(x, p):
+    h1, back_ln1 = layer_norm_module_reference(x, _sub(p, "ln1."))
+    a, back_attn = attention_reference(h1, _sub(p, "attn."))
+    x1 = x + a
+    h2, back_ln2 = layer_norm_module_reference(x1, _sub(p, "ln2."))
+    f, back_ff = feed_forward_reference(h2, _sub(p, "ff."))
+
+    def back(g):
+        d_h2, g_ff = back_ff(g)
+        d_x1_ln, g_ln2 = back_ln2(d_h2)
+        d_x1 = g + d_x1_ln
+        d_h1, g_attn = back_attn(d_x1)
+        d_x_ln, g_ln1 = back_ln1(d_h1)
+        grads = _prefixed("ln1.", g_ln1) | _prefixed("attn.", g_attn)
+        return d_x1 + d_x_ln, grads | _prefixed("ln2.", g_ln2) | _prefixed("ff.", g_ff)
+
+    return x1 + f, back
+
+
+@pytest.mark.parametrize("make, reference", [
+    (lambda rng: Linear(16, 32, rng), linear_reference),
+    (lambda rng: SelfAttention(16, rng), attention_reference),
+    (lambda rng: TransformerLayer(16, 32, rng), transformer_layer_reference),
+])
+def test_layers_match_op_by_op_reference(make, reference):
+    rng = np.random.default_rng(8)
+    module = make(rng)
+    for _, p in module.parameters():
+        p.data = 0.5 * rng.standard_normal(p.shape) + (1.0 if p.ndim == 1 else 0.0)
+    x = rng.standard_normal((8, 16, 16))
+    params = {name: p.data for name, p in module.parameters()}
+    want, back = reference(x, params)
+    g = rng.standard_normal(want.shape)
+    want_dx, want_grads = back(g)
+
+    tx = Tensor(x, requires_grad=True)
+    out = module(tx)
+    out.backward(g)
+    assert rel_err(out.data, want) <= FUSED_RTOL
+    assert rel_err(tx.grad, want_dx) <= FUSED_RTOL
+    scale = np.abs(want_dx).max()
+    assert sorted(want_grads) == sorted(params)
+    for name, p in module.parameters():
+        ref = want_grads[name]
+        assert p.grad.shape == ref.shape, name
+        # An exactly zero gradient is compared on the input gradient's scale.
+        denom = np.abs(ref).max() or scale
+        assert np.abs(p.grad - ref).max() <= FUSED_RTOL * denom, name

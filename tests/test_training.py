@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import kstest, norm
@@ -12,6 +15,7 @@ from fbclab.channel import (
     traces_at,
 )
 from fbclab.errors import ConfigError, NumericalFailure
+from fbclab.experiments import ExperimentConfig, run_experiment
 from fbclab.training import (
     Adam,
     CurriculumConfig,
@@ -167,6 +171,34 @@ def test_nonfinite_weights_abort_with_step_index():
     model.enc_head.weight.data[0, 0] = np.nan
     with pytest.raises(NumericalFailure, match="step 0"):
         train(model, CurriculumConfig(), TrainConfig(steps=3, batch_size=4, seed=5))
+
+
+def test_failed_train_run_leaves_history_and_manifest(tmp_path, monkeypatch):
+    # The weights turn non-finite after step 1, so step 2's loss is NaN.
+    original_step = Adam.step
+
+    def poisoning_step(self, model, grads):
+        original_step(self, model, grads)
+        if self.t == 2:
+            model.enc_head.weight.data[0, 0] = np.nan
+
+    params = {"model": dataclasses.asdict(TINY), "steps": 4, "batch_size": 4}
+    clean = run_experiment(ExperimentConfig("train", params, 5, str(tmp_path / "clean")))
+    assert "status" not in clean and "failed_step" not in clean
+    monkeypatch.setattr(Adam, "step", poisoning_step)
+    with pytest.raises(NumericalFailure, match="step 2"):
+        run_experiment(ExperimentConfig("train", params, 5, str(tmp_path / "failed")))
+
+    failed = tmp_path / "failed"
+    assert sorted(p.name for p in failed.iterdir()) == ["history.csv", "manifest.json"]
+    lines = (failed / "history.csv").read_text().splitlines()
+    assert lines == (tmp_path / "clean" / "history.csv").read_text().splitlines()[:3]
+    manifest = json.loads((failed / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["failed_step"] == 2
+    assert "step 2" in manifest["error"]
+    assert manifest["outputs"] == ["history.csv"]
+    same = {k: v for k, v in clean.items() if k not in ("created_utc", "outputs")}
+    assert {k: manifest[k] for k in same} == same
 
 
 def test_history_csv_format(tmp_path):
