@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .channel import noise_sigma
 from .errors import ConfigError, NumericalFailure, ProtocolViolation
 from .layers import Linear, Module, SnrMlp, TransformerStack
 from .results import atomic_write
@@ -124,21 +125,6 @@ class AfcConfig:
         )
         base.update(overrides)
         return cls(**base)
-
-
-@dataclass
-class EncoderState:
-    """Everything the transmitter knows when encoding round `round`.
-
-    feedback holds receptions for rounds 0..t-L only; newer slots simply do
-    not exist here, and the graph zero-fills them.
-    """
-
-    round: int
-    message_bits: np.ndarray
-    past_codewords: list[np.ndarray] = field(default_factory=list)
-    feedback: list[np.ndarray] = field(default_factory=list)
-    snr_db: float = 0.0
 
 
 class AfcModel(Module):
@@ -283,47 +269,6 @@ class AfcModel(Module):
         x = self.dec_stack(self.dec_embed(q))
         return self.dec_head(x)
 
-    # -- numpy-level API (used by the session engine) -------------------------
-
-    def snr_embed(self, snr_db: float) -> np.ndarray:
-        if not np.isfinite(snr_db):
-            raise NumericalFailure(f"snr_db must be finite, got {snr_db}")
-        with ad.no_grad():
-            return self.snr_embed_graph(float(snr_db)).data.reshape(-1).copy()
-
-    def encode_round(self, state: EncoderState, t: int) -> np.ndarray:
-        c = self.config
-        if state.round != t:
-            raise ProtocolViolation(f"state is for round {state.round}, not {t}")
-        if np.asarray(state.message_bits).size != c.k:
-            raise ProtocolViolation(
-                f"message has {np.asarray(state.message_bits).size} bits, codec expects {c.k}"
-            )
-        newest = t - c.feedback_lag
-        if len(state.feedback) > max(newest + 1, 0):
-            raise ProtocolViolation(
-                f"state holds feedback up to round {len(state.feedback) - 1}, "
-                f"but round {t} may use only rounds <= {newest}"
-            )
-        bits_pm = _bits_to_pm_blocks(state.message_bits[None, :], c)
-        past = [Tensor(cw[None, :]) for cw in state.past_codewords]
-        fb = [Tensor(f[None, :]) for f in state.feedback]
-        with ad.no_grad():
-            out = self.encode_round_graph(t, Tensor(bits_pm), past, fb, state.snr_db)
-        return out.data[0].copy()
-
-    def generate_feedback(self, t: int, received: list[np.ndarray], snr_db: float) -> np.ndarray:
-        tensors = [Tensor(y[None, :]) for y in received]
-        with ad.no_grad():
-            out = self.generate_feedback_graph(t, tensors, snr_db)
-        return out.data[0].copy()
-
-    def decode_final(self, received: list[np.ndarray], snr_db_rounds) -> np.ndarray:
-        tensors = [Tensor(y[None, :]) for y in received]
-        with ad.no_grad():
-            logits = self.decode_graph(tensors, snr_db_rounds)
-        return logits_to_bits(logits.data)[0]
-
 
 def power_normalize(sym: Tensor) -> Tensor:
     """Scale symbols so the batch-mean per-symbol power is 1."""
@@ -378,9 +323,14 @@ def session_graph(
 ) -> Tensor:
     """Run a whole batched session inside the autodiff graph.
 
-    Noise enters additively as constants, so gradients flow through the
-    channel to every round's encoder and feedback generator. Returns the
-    final per-block logits, (B, num_blocks, 2^m).
+    This is the lab's one session engine: training, PER sweeps and the
+    benchmark all run it. Round t's encoder is handed every feedback
+    reception so far, and encode_round_graph masks all but rounds
+    t - L - window .. t - L. Noise enters additively as constants, so
+    gradients flow through the channel to every round's encoder and feedback
+    generator. A non-finite uplink SNR, or feedback SNR on a noisy feedback
+    channel, raises NumericalFailure. Returns the final per-block logits,
+    (B, num_blocks, 2^m).
     """
     c = model.config
     bits = np.asarray(bits)
@@ -392,6 +342,10 @@ def session_graph(
         snrs = np.broadcast_to(snrs.ravel(), (c.rounds,))
     elif snrs.shape != (batch, c.rounds):
         raise ProtocolViolation(f"per-sample SNRs must be ({batch}, {c.rounds})")
+    if not np.isfinite(snrs).all():
+        raise NumericalFailure("uplink SNRs must be finite")
+    if not noiseless_feedback and not np.isfinite(feedback_snr_db):
+        raise NumericalFailure(f"feedback_snr_db must be finite, got {feedback_snr_db}")
 
     def round_snr(t):
         return snrs[t] if snrs.ndim == 1 else snrs[:, t]
@@ -407,7 +361,7 @@ def session_graph(
         if noiseless_uplink:
             y = cw
         else:
-            sigma = np.atleast_1d(10.0 ** (-snr_t / 20.0))[:, None]
+            sigma = np.atleast_1d(noise_sigma(snr_t))[:, None]
             y = cw + Tensor(sigma * rng.standard_normal((batch, c.num_blocks)))
         codewords.append(cw)
         received.append(y)
@@ -418,7 +372,7 @@ def session_graph(
             if noiseless_feedback:
                 fb_received.append(fb)
             else:
-                fb_sigma = 10.0 ** (-feedback_snr_db / 20.0)
+                fb_sigma = noise_sigma(feedback_snr_db)
                 fb_received.append(
                     fb + Tensor(fb_sigma * rng.standard_normal((batch, c.num_blocks)))
                 )
@@ -559,29 +513,3 @@ def load_checkpoint(path) -> AfcModel:
         if fh.read(1):
             raise ConfigError("trailing bytes after the last parameter")
     return model
-
-
-# -- session-engine adapter ------------------------------------------------------
-
-
-class AfcSessionCodec:
-    """Adapts a model to the session engine's encoder/decoder protocols."""
-
-    def __init__(self, model: AfcModel):
-        self.model = model
-
-    def encode_round(self, t, message_bits, past_codewords, feedback, snr_db):
-        state = EncoderState(
-            round=t,
-            message_bits=message_bits,
-            past_codewords=past_codewords,
-            feedback=feedback,
-            snr_db=snr_db,
-        )
-        return self.model.encode_round(state, t)
-
-    def generate_feedback(self, t, received, snr_history):
-        return self.model.generate_feedback(t, received, snr_history[t])
-
-    def decode_final(self, received, snr_history):
-        return self.model.decode_final(received, snr_history)

@@ -1,16 +1,17 @@
-"""Per-symbol uplink/feedback channel model and SNR trace generation.
+"""Uplink/feedback channel model and SNR trace generation.
 
-The channel is a scalar gain-plus-AWGN model: y_i = gain_i * c_i + n_i with
-noise variance set by the SNR in dB (signal power is taken as 1, which is the
-caller's normalization contract). Traces of time-varying SNR are produced by
-either a fixed level, a mean-reverting (Ornstein-Uhlenbeck style) process, or
-a piecewise-linear schedule.
+The channel is AWGN: y_i = c_i + n_i with noise standard deviation
+noise_sigma(snr_db) (signal power is taken as 1, which is the caller's
+normalization contract). afc.session_graph and the HARQ and uncoded trials
+all draw their noise at that level. Traces of time-varying SNR are produced
+by either a fixed level, a mean-reverting (Ornstein-Uhlenbeck style) process,
+or a piecewise-linear schedule.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -23,50 +24,12 @@ TRACE_CSV_HEADER = ["time_ms", "snr_db"]
 TracePoint = tuple[float, float]  # (time_ms, snr_db)
 
 
-def noise_sigma(snr_db: float) -> float:
-    """Noise standard deviation for unit signal power at the given SNR."""
+def noise_sigma(snr_db):
+    """Noise standard deviation for unit signal power at the given SNR in dB.
+
+    Elementwise for an array of SNRs.
+    """
     return 10.0 ** (-snr_db / 20.0)
-
-
-@dataclass
-class ChannelParams:
-    """Scalar channel for one transmission leg.
-
-    gain may be a scalar or a per-symbol array; the default 1.0 is the pure
-    AWGN setting. noiseless=True bypasses noise injection entirely (used for
-    the ideal-feedback configuration) instead of encoding it as an infinite
-    SNR.
-    """
-
-    snr_db: float = 0.0
-    gain: Union[float, np.ndarray] = 1.0
-    noiseless: bool = False
-    direction: str = "uplink"  # "uplink" | "feedback"
-
-    def __post_init__(self):
-        if not self.noiseless and not np.isfinite(self.snr_db):
-            raise InputDomainError(f"snr_db must be finite, got {self.snr_db}")
-        gain = np.asarray(self.gain, dtype=float)
-        if not np.all(np.isfinite(gain)) or np.any(np.abs(gain) == 0.0):
-            raise InputDomainError("channel gain must be finite and non-zero")
-
-
-def apply_channel(
-    symbols: np.ndarray, params: ChannelParams, rng: np.random.Generator
-) -> np.ndarray:
-    """Pass symbols through the gain-plus-AWGN channel.
-
-    Noise variance is 1/10^(snr_db/10) under the unit-signal-power contract.
-    Deterministic given (symbols, params, rng state).
-    """
-    symbols = np.asarray(symbols, dtype=float)
-    if not np.all(np.isfinite(symbols)):
-        raise InputDomainError("channel input contains non-finite symbols")
-    out = symbols * np.asarray(params.gain, dtype=float)
-    if params.noiseless:
-        return out
-    sigma = noise_sigma(params.snr_db)
-    return out + sigma * rng.standard_normal(symbols.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -131,25 +94,14 @@ class PiecewiseTrace:
 TraceKind = Union[FixedTrace, MeanRevertingTrace, PiecewiseTrace]
 
 
-@dataclass
-class SnrTraceConfig:
-    kind: TraceKind = field(default_factory=lambda: FixedTrace(0.0))
-    seed: int = 0
-
-
-def sample_snr_trace(config: SnrTraceConfig, duration_ms: float) -> list[TracePoint]:
-    """Sample one trace realization of the configured process.
-
-    Returns ceil(duration/step) points at times 0, step, 2*step, ...
-    Identical seeds give identical traces.
-    """
-    return sample_trace_kind(config.kind, duration_ms, np.random.default_rng(config.seed))
-
-
 def sample_trace_kind(
     kind: TraceKind, duration_ms: float, rng: np.random.Generator
 ) -> list[TracePoint]:
-    """Sample a trace with an externally owned random stream: sample_traces, n = 1."""
+    """Sample a trace with an externally owned random stream: sample_traces, n = 1.
+
+    The package no longer calls this or trace_value_at; perfbench/tracer.py
+    still wraps both by name.
+    """
     times, values = sample_traces(kind, duration_ms, rng, 1)
     return list(zip(times.tolist(), values[0].tolist()))
 

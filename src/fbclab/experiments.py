@@ -5,8 +5,7 @@ parameters (unknown keys and type errors are reported with their full key
 path), executes, and writes its result files and a manifest recording the
 config, its hash, the seed, and the package version. Every file goes through
 `fbclab.results`, which writes it atomically (temp file + rename) with the
-mode a plain `open()` gives; `emit_results`, `parse_results` and `write_json`
-are re-exported from there. Rerunning with the same config and seed
+mode a plain `open()` gives. Rerunning with the same config and seed
 reproduces result bodies byte for byte; only the manifest timestamp differs.
 A train run that hits a non-finite loss still writes the history of the
 steps it made and a manifest with `status: "failed"` and the failing step,
@@ -51,7 +50,7 @@ from .pipeline import (
     sync_latency,
     timeline_to_csv,
 )
-from .results import canonical, emit_results, parse_results, write_json  # noqa: F401
+from .results import canonical, write_json
 from .training import (
     CurriculumConfig,
     ExponentialDecay,
@@ -205,17 +204,6 @@ TUNABLE_REGISTRY: dict[str, dict[str, str]] = {
         "sigma_p": "train.sigma_p",
         "total_steps": "train.steps",
     },
-    "session.SessionConfig": {
-        "k": "train.model",
-        "rounds": "train.model",
-        "symbols_per_round": "train.model",
-        "feedback_lag": "train.model",
-        "feedback_dim": "fixed: one feedback symbol per forward symbol slot",
-        "uplink": "per-sweep.uplink_trace",
-        "feedback": "per-sweep.feedback_snr_db",
-        "noiseless_feedback": "per-sweep.noiseless_feedback",
-        "round_period_ms": "per-sweep.round_period_ms",
-    },
     "channel.MeanRevertingTrace": {
         "mean_db": "per-sweep.snr_grid",
         "reversion_rate": "per-sweep.uplink_trace",
@@ -287,18 +275,24 @@ def require_seed(config: ExperimentConfig) -> int:
 
 
 def expand_grid(spec, name: str) -> list[float]:
-    """A 3-element [start, stop, step] is an inclusive range; else a list."""
+    """A 3-element [start, stop, step] is an inclusive range; else a list.
+
+    Every entry must be a finite number.
+    """
     if not isinstance(spec, list) or not spec:
         raise ConfigError(f"params.{name}: expected a non-empty list")
-    if len(spec) == 3 and all(isinstance(v, (int, float)) for v in spec):
-        start, stop, step = map(float, spec)
+    if not all(_TYPE_CHECKS["number"](v) and np.isfinite(v) for v in spec):
+        raise ConfigError(f"params.{name}: every entry must be a finite number")
+    values = [float(v) for v in spec]
+    if len(values) == 3:
+        start, stop, step = values
         if step <= 0:
             raise ConfigError(f"params.{name}: step must be > 0")
         n = int(np.floor((stop - start) / step + 1e-9)) + 1
         if n < 1:
             raise ConfigError(f"params.{name}: empty range")
         return [start + i * step for i in range(n)]
-    return [float(v) for v in spec]
+    return values
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -524,6 +518,7 @@ def _run_train(p: dict, seed: int, out: Path) -> list[str]:
         noiseless_feedback=p["noiseless_feedback"],
         feedback_snr_db=p["feedback_snr_db"],
     )
+    eval_grid = expand_grid(p["eval_snr_grid"], "eval_snr_grid") if p["eval_snr_grid"] else None
     try:
         history = train(model, curriculum, tc)
     except NumericalFailure as exc:
@@ -536,10 +531,10 @@ def _run_train(p: dict, seed: int, out: Path) -> list[str]:
     write_history_csv(history, out / "history.csv")
     save_checkpoint(model, out / "model.ckpt")
     outputs = ["history.csv", "model.ckpt"]
-    if p["eval_snr_grid"]:
+    if eval_grid:
         points = evaluate_robustness(
             model,
-            expand_grid(p["eval_snr_grid"], "eval_snr_grid"),
+            eval_grid,
             max_trials=p["eval_max_trials"],
             target_errors=p["eval_target_errors"],
             seed=seed,

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .channel import noise_sigma
 from .convcode import (
     bpsk_llr,
     conv_encode,
@@ -103,7 +104,7 @@ def harq_cc_trial_batch(
     """Run n independent HARQ sessions; returns per-trial success flags."""
     bits = _draw_payload(config, rng, n)
     symbols = modulate_bpsk(conv_encode_batch(bits))
-    sigma = 10.0 ** (-snr_db / 20.0)
+    sigma = noise_sigma(snr_db)
 
     combined = np.zeros_like(symbols)
     success = np.zeros(n, dtype=bool)
@@ -138,7 +139,7 @@ def uncoded_bpsk_trial_fn(k: int):
 
     def trial(snr_db: float, rng: np.random.Generator, n: int) -> np.ndarray:
         bits = rng.integers(0, 2, (n, k))
-        sigma = 10.0 ** (-snr_db / 20.0)
+        sigma = noise_sigma(snr_db)
         y = modulate_bpsk(bits) + sigma * rng.standard_normal((n, k))
         return np.all((y < 0).astype(np.int64) == bits, axis=1)
 

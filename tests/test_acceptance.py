@@ -63,8 +63,8 @@ def test_criterion_01_latency_closed_forms():
 
 
 def test_criterion_02_delta_prime_and_sweeps(tmp_path):
-    from fbclab.experiments import parse_results
     from fbclab.pipeline import sweep_to_csv
+    from fbclab.results import parse_results
 
     checks = [async_delta_prime(P_REF) == 3]
     for d in range(1, 31):

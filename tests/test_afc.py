@@ -6,8 +6,6 @@ from fbclab import autodiff as ad
 from fbclab.afc import (
     AfcConfig,
     AfcModel,
-    AfcSessionCodec,
-    EncoderState,
     _active_inputs,
     bits_to_block_targets,
     block_targets_to_bits,
@@ -21,10 +19,8 @@ from fbclab.afc import (
     session_graph,
 )
 from fbclab.autodiff import Tensor
-from fbclab.channel import FixedTrace, SnrTraceConfig
 from fbclab.errors import ConfigError, NumericalFailure, ProtocolViolation
 from fbclab.layers import SnrMlp
-from fbclab.session import SessionConfig, run_session
 
 
 TINY = AfcConfig.tiny()
@@ -33,6 +29,16 @@ TINY = AfcConfig.tiny()
 def _rand_received(rng, batch, cfg, rounds=None):
     rounds = cfg.rounds if rounds is None else rounds
     return [Tensor(rng.standard_normal((batch, cfg.num_blocks))) for _ in range(rounds)]
+
+
+def _pm(bits, cfg):
+    """(B, K) 0/1 bits -> the +-1 message Tensor encode_round_graph takes."""
+    return Tensor(1.0 - 2.0 * np.asarray(bits).reshape(-1, cfg.num_blocks, cfg.block_size))
+
+
+def _embed(model, snr_db):
+    with ad.no_grad():
+        return model.snr_embed_graph(snr_db).data
 
 
 # -- SNR embedding -------------------------------------------------------------
@@ -54,10 +60,14 @@ def test_snr_embedding_hand_computed_at_zero():
 
 def test_snr_embedding_deterministic_and_shared():
     model = AfcModel(TINY, seed=1)
-    a = model.snr_embed(3.0)
-    b = model.snr_embed(3.0)
-    assert np.array_equal(a, b)
-    assert a.shape == (TINY.snr_emb_dim,)
+    a = _embed(model, 3.0)
+    assert np.array_equal(a, _embed(model, 3.0))
+    assert a.shape == (1, 1, TINY.snr_emb_dim)
+    # one embedding per session, each the one its SNR alone gets
+    batch = _embed(model, np.array([3.0, -1.0, 3.0]))
+    assert batch.shape == (3, 1, TINY.snr_emb_dim)
+    assert np.allclose(batch[[0, 2]], a, rtol=1e-12, atol=0)
+    assert np.allclose(batch[1], _embed(model, -1.0), rtol=1e-12, atol=0)
 
 
 def test_snr_embedding_lipschitz_bound():
@@ -68,13 +78,19 @@ def test_snr_embedding_lipschitz_bound():
     lip = np.linalg.norm(w1, 2) * gelu_lip * np.linalg.norm(w2, 2)
     eps = 1e-3
     for gamma in (-5.0, 0.0, 4.2):
-        d = np.linalg.norm(model.snr_embed(gamma + eps) - model.snr_embed(gamma))
+        d = np.linalg.norm(_embed(model, gamma + eps) - _embed(model, gamma))
         assert d <= lip * eps * (1 + 1e-6)
 
 
 def test_snr_embedding_rejects_nonfinite():
-    with pytest.raises(NumericalFailure):
-        AfcModel(TINY, seed=0).snr_embed(float("nan"))
+    model = AfcModel(TINY, seed=0)
+    bits = np.zeros((2, TINY.k), dtype=np.int64)
+    for bad in (np.nan, np.inf, -np.inf):
+        one_bad_round = np.zeros((2, TINY.rounds))
+        one_bad_round[1, 3] = bad
+        for snrs in (np.full(TINY.rounds, bad), one_bad_round):
+            with pytest.raises(NumericalFailure, match="uplink SNRs must be finite"):
+                session_graph(model, bits, snrs, np.random.default_rng(0))
 
 
 # -- encoder -------------------------------------------------------------------
@@ -87,8 +103,9 @@ def test_zero_weights_give_message_independent_codeword():
     rng = np.random.default_rng(4)
     out = []
     for _ in range(2):
-        state = EncoderState(0, rng.integers(0, 2, TINY.k), snr_db=1.0)
-        out.append(model.encode_round(state, 0))
+        bits_pm = _pm(rng.integers(0, 2, (1, TINY.k)), TINY)
+        with ad.no_grad():
+            out.append(model.encode_round_graph(0, bits_pm, [], [], 1.0).data)
     assert np.array_equal(out[0], out[1])
 
 
@@ -160,40 +177,41 @@ def test_unconsumable_feedback_slot_weights_get_zero_grad():
 
 def test_round_and_state_validation():
     model = AfcModel(TINY, seed=13)
-    state = EncoderState(1, np.zeros(TINY.k, dtype=int))
-    with pytest.raises(ProtocolViolation):
-        model.encode_round(state, 0)
-    fresh = EncoderState(
-        0,
-        np.zeros(TINY.k, dtype=int),
-        feedback=[np.zeros(TINY.num_blocks)],
-    )
-    with pytest.raises(ProtocolViolation):
-        model.encode_round(fresh, 0)
-    with pytest.raises(ProtocolViolation):
-        model.decode_final([np.zeros(TINY.num_blocks)] * (TINY.rounds - 1), [0.0])
+    bits_pm = _pm(np.zeros((1, TINY.k)), TINY)
+    zeros = Tensor(np.zeros((1, TINY.num_blocks)))
+    with pytest.raises(ProtocolViolation, match="outside"):
+        model.encode_round_graph(TINY.rounds, bits_pm, [zeros] * TINY.rounds, [], 0.0)
+    with pytest.raises(ProtocolViolation, match="past codewords"):
+        model.encode_round_graph(1, bits_pm, [], [], 0.0)
+    with pytest.raises(ProtocolViolation, match="receptions"):
+        model.generate_feedback_graph(2, [zeros] * 2, 0.0)
+    with pytest.raises(ProtocolViolation, match="receptions"):
+        model.decode_graph([zeros] * (TINY.rounds - 1), [0.0])
 
 
 def test_feedback_generator_contract():
     model = AfcModel(TINY, seed=30)
     rng = np.random.default_rng(31)
-    received = [rng.standard_normal(TINY.num_blocks) for _ in range(3)]
-    fb = model.generate_feedback(2, received, 1.5)
-    assert fb.shape == (TINY.num_blocks,)
+    received = [rng.standard_normal((1, TINY.num_blocks)) for _ in range(3)]
+
+    def feedback(scale=1.0):
+        with ad.no_grad():
+            return model.generate_feedback_graph(2, [Tensor(scale * r) for r in received], 1.5).data
+
+    fb = feedback()
+    assert fb.shape == (1, TINY.num_blocks)
     assert 0.9 <= (fb**2).mean() <= 1.1
-    assert np.array_equal(fb, model.generate_feedback(2, received, 1.5))
+    assert np.array_equal(fb, feedback())
     for _, p in model.parameters():
         p.data = np.zeros_like(p.data)
-    dark = model.generate_feedback(2, received, 1.5)
-    other = model.generate_feedback(2, [r * 3.0 for r in received], 1.5)
-    assert np.array_equal(dark, other)
+    assert np.array_equal(feedback(), feedback(3.0))
 
 
 def test_wrong_message_length_rejected():
     model = AfcModel(TINY, seed=32)
-    state = EncoderState(0, np.zeros(TINY.k + 1, dtype=int))
-    with pytest.raises(ProtocolViolation):
-        model.encode_round(state, 0)
+    for bits in (np.zeros((2, TINY.k + 1), dtype=int), np.zeros(TINY.k, dtype=int)):
+        with pytest.raises(ProtocolViolation, match="bits must be"):
+            session_graph(model, bits, np.zeros(TINY.rounds), np.random.default_rng(0))
 
 
 # -- decoder -------------------------------------------------------------------
@@ -244,46 +262,7 @@ def test_smoke_training_beats_random_guessing():
     assert accuracy > 1.0 / cfg.classes + 0.1
 
 
-# -- consistency between graph and engine APIs ----------------------------------
-
-
-def test_numpy_adapter_matches_graph():
-    cfg = AfcConfig.tiny()
-    model = AfcModel(cfg, seed=20)
-    rng = np.random.default_rng(21)
-    t = 3
-    bits = rng.integers(0, 2, cfg.k)
-    past = [rng.standard_normal(cfg.num_blocks) for _ in range(t)]
-    fb = [rng.standard_normal(cfg.num_blocks) for _ in range(t - cfg.feedback_lag + 1)]
-    state = EncoderState(t, bits, past, fb, snr_db=2.0)
-    via_state = model.encode_round(state, t)
-    bits_pm = Tensor(1.0 - 2.0 * bits.reshape(1, cfg.num_blocks, cfg.block_size).astype(float))
-    via_graph = model.encode_round_graph(
-        t, bits_pm, [Tensor(c[None]) for c in past], [Tensor(f[None]) for f in fb], 2.0
-    ).data[0]
-    assert np.array_equal(via_state, via_graph)
-
-    received = [rng.standard_normal(cfg.num_blocks) for _ in range(cfg.rounds)]
-    snrs = rng.uniform(0, 5, cfg.rounds)
-    d1 = model.decode_final(received, snrs)
-    d2 = logits_to_bits(model.decode_graph([Tensor(r[None]) for r in received], snrs).data)[0]
-    assert np.array_equal(d1, d2)
-
-
-def test_session_engine_runs_neural_codec():
-    cfg = AfcConfig.tiny()
-    model = AfcModel(cfg, seed=22)
-    codec = AfcSessionCodec(model)
-    session_cfg = SessionConfig(
-        k=cfg.k,
-        rounds=cfg.rounds,
-        symbols_per_round=cfg.num_blocks,
-        feedback_lag=cfg.feedback_lag,
-        uplink=SnrTraceConfig(FixedTrace(10.0)),
-    )
-    tr = run_session(codec, codec, session_cfg, np.random.default_rng(23))
-    assert len(tr.rounds) == cfg.rounds
-    assert tr.decoded_bits.shape == (cfg.k,)
+# -- session engine --------------------------------------------------------------
 
 
 def test_per_sample_snr_matrix_matches_shared_grid():

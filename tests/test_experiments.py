@@ -11,18 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fbclab.cli import main
-from fbclab.errors import ConfigError
+from fbclab.errors import ConfigError, NumericalFailure
 from fbclab.experiments import (
     SCHEMAS,
     TUNABLE_REGISTRY,
     ExperimentConfig,
     config_hash,
-    emit_results,
     expand_grid,
-    parse_results,
     run_experiment,
     validate_params,
 )
+from fbclab.results import emit_results, parse_results
 
 
 # -- validation -----------------------------------------------------------------
@@ -62,6 +61,35 @@ def test_expand_grid():
     assert expand_grid([3.0, 3.0, 1.0], "g") == [3.0]
     with pytest.raises(ConfigError):
         expand_grid([], "g")
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[float("nan"), 2.0], [1.0, float("-inf")], [0.0, float("inf"), 1.0],
+     [float("nan"), 2.0, 1.0], [0.0, 2.0, float("nan")], [0.0, 2.0, float("inf")],
+     ["x", 2.0], ["3", 2.0], [0.0, True, 1.0]],
+)
+def test_grid_entries_must_be_finite_numbers(grid):
+    with pytest.raises(ConfigError, match=r"params\.g: every entry must be a finite number"):
+        expand_grid(grid, "g")
+
+
+def test_nonfinite_eval_grid_fails_before_training(tmp_path):
+    params = {"model": {"num_blocks": 2, "rounds": 2, "d_model": 4, "ff_dim": 4, "enc_layers": 1,
+                        "dec_layers": 1, "fb_layers": 1, "snr_emb_dim": 2},
+              "steps": 1, "batch_size": 2, "eval_snr_grid": [0.0, float("nan")]}
+    with pytest.raises(ConfigError, match=r"params\.eval_snr_grid"):
+        run_experiment(ExperimentConfig("train", params, 1, str(tmp_path)))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid", ["[NaN, 2]", "[0, Infinity, 1]"])
+def test_cli_nonfinite_snr_grid_exits_two(grid, tmp_path, capsys):
+    code = main(["per-sweep", "--scheme", "uncoded", "--snr-grid", grid, "--seed", "1",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "params.snr_grid" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- emit/parse -----------------------------------------------------------------
@@ -290,6 +318,19 @@ def test_neural_per_sweep_with_trace(tmp_path):
     )
     rows = parse_results(tmp_path / "per.csv")
     assert rows[0]["trials"] == 128
+    # A trace point that is not a number fails the run before any result file.
+    nan_trace = {"kind": "piecewise", "points": [[0.0, 20.0], [1.0, float("nan")]]}
+    with pytest.raises(NumericalFailure):
+        run_experiment(
+            ExperimentConfig(
+                "per-sweep",
+                {"scheme": "neural", "checkpoint": str(tmp_path / "model.ckpt"),
+                 "snr_grid": [20.0], "max_trials": 128, "uplink_trace": nan_trace},
+                6,
+                str(tmp_path / "nan"),
+            )
+        )
+    assert list((tmp_path / "nan").iterdir()) == []
 
 
 def test_every_schema_key_is_documented():
@@ -319,7 +360,6 @@ def test_tunable_registry_covers_dataclasses():
     from fbclab.channel import MeanRevertingTrace
     from fbclab.harq import HarqConfig
     from fbclab.pipeline import TimingParams
-    from fbclab.session import SessionConfig
     from fbclab.training import CurriculumConfig, TrainConfig
 
     classes = {
@@ -328,7 +368,6 @@ def test_tunable_registry_covers_dataclasses():
         "afc.AfcConfig": AfcConfig,
         "training.TrainConfig": TrainConfig,
         "training.CurriculumConfig": CurriculumConfig,
-        "session.SessionConfig": SessionConfig,
         "channel.MeanRevertingTrace": MeanRevertingTrace,
     }
     for name, cls in classes.items():

@@ -11,7 +11,7 @@ import pytest
 from fbclab.afc import AfcConfig, AfcModel, save_checkpoint
 from fbclab.analysis import FPGA_CSV_HEADER, fpga_report, fpga_report_csv
 from fbclab.channel import TRACE_CSV_HEADER, read_trace_csv, write_trace_csv
-from fbclab.experiments import ExperimentConfig, emit_results, run_experiment, write_json
+from fbclab.experiments import ExperimentConfig, run_experiment
 from fbclab.per import PER_CSV_HEADER, PerPoint, read_per_csv, write_per_csv
 from fbclab.pipeline import (
     SWEEP_CSV_HEADER,
@@ -23,6 +23,7 @@ from fbclab.pipeline import (
     sweep_to_csv,
     timeline_to_csv,
 )
+from fbclab.results import emit_results, write_json
 from fbclab.training import HISTORY_CSV_HEADER, HistoryRow, write_history_csv
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fbclab"
@@ -135,6 +136,37 @@ def test_write_guard_sees_each_kind_of_write():
         "p.write_text(s)\ncsv.writer(fh)\nos.open(p, f)\nnp.save(p, a)\n"
     )
     assert [line for line, _ in _writing_calls(ast.parse(code))] == [1, 2, 3, 6, 7, 8, 9]
+
+
+def _unused_imports(tree: ast.AST):
+    """(line, name) of every name an import binds that no expression reads."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    yield node.lineno, name
+
+
+def test_every_import_is_used():
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _unused_imports(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_import_guard_sees_each_kind_of_import():
+    code = (
+        "from __future__ import annotations\nimport os\nimport a.b\nimport c as d\n"
+        "from e import f, g as h\nfrom . import i  # noqa: F401\n"
+        "def k(x: f) -> None:\n    import j\n    return a.b(os)\n"
+    )
+    assert list(_unused_imports(ast.parse(code))) == [(4, "d"), (5, "h"), (6, "i"), (8, "j")]
 
 
 # SHA-256 of seeded outputs that involve no inexact BLAS call, pinned from the
