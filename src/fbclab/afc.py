@@ -11,7 +11,13 @@ width and restricts how far back in the feedback history the encoder looks
 
 Feedback newer than t - L, and older than the sparse window when one is set,
 is replaced by zeros before it enters the graph, so encoder outputs are
-structurally independent of it.
+structurally independent of it; `feedback_window` states that rule once, for
+the encoder and for the FLOP count. One input builder serves the encoder, the
+feedback generator and the decoder: the optional message, one column per
+slot (zeros where a slot is missing or masked) and the SNR embedding
+broadcast to every block. The transmitter embeds its round's SNR itself; the
+receiver embeds each round's SNR once and shares it between the feedback
+generator and the decoder.
 """
 
 from __future__ import annotations
@@ -68,14 +74,6 @@ class AfcConfig:
     @property
     def classes(self) -> int:
         return 2 ** self.block_size
-
-    @property
-    def symbols_per_round(self) -> int:
-        return self.num_blocks
-
-    @property
-    def blocklength(self) -> int:
-        return self.rounds * self.num_blocks
 
     # The lightweight variant halves the encoder stack; the decoder is shared.
     @property
@@ -174,7 +172,7 @@ class AfcModel(Module):
 
         bits_pm is the +-1 mapped message, (B, num_blocks, block_size).
         past_codewords[tau] and feedback[tau] are (B, num_blocks). Feedback
-        outside [t - L - window, t - L] never enters the graph.
+        outside feedback_window(config, t) never enters the graph.
         """
         c = self.config
         if not 0 <= t < c.rounds:
@@ -183,91 +181,75 @@ class AfcModel(Module):
             raise ProtocolViolation(
                 f"round {t} needs {t} past codewords, got {len(past_codewords)}"
             )
-        batch = bits_pm.shape[0]
-        fb_map = (
-            {i: f for i, f in enumerate(feedback)}
-            if isinstance(feedback, (list, tuple))
-            else dict(feedback)
-        )
-
-        newest = t - c.feedback_lag
-        oldest = 0
-        if c.sparse_ff_window is not None:
-            oldest = max(0, newest - c.sparse_ff_window)
-
-        zeros = Tensor(np.zeros((batch, c.num_blocks, 1)))
-        cw_slots = [
-            past_codewords[tau].reshape(batch, c.num_blocks, 1) if tau < t else zeros
-            for tau in range(c.rounds - 1)
-        ]
-        fb_slots = [
-            fb_map[tau].reshape(batch, c.num_blocks, 1)
-            if oldest <= tau <= newest and tau in fb_map
-            else zeros
-            for tau in range(c.rounds - 1)
-        ]
-        emb = self.snr_embed_graph(snr_db) + Tensor(
-            np.zeros((batch, c.num_blocks, c.snr_emb_dim))
-        )
-
-        q = ad.concat([bits_pm] + cw_slots + fb_slots + [emb], axis=-1)
-        x = self.enc_embed(q)
+        fb = dict(enumerate(feedback)) if isinstance(feedback, (list, tuple)) else feedback
+        window = feedback_window(c, t)
+        slots = [past_codewords[tau] if tau < t else None for tau in range(c.rounds - 1)]
+        slots += [fb.get(tau) if tau in window else None for tau in range(c.rounds - 1)]
+        x = self.enc_embed(self._features(bits_pm, slots, self.snr_embed_graph(snr_db)))
         if c.use_positions:
             x = x + self.enc_pos
         x = self.enc_stack(x)
-        sym = self.enc_head(x).reshape(batch, c.num_blocks)
+        sym = self.enc_head(x).reshape(bits_pm.shape[0], c.num_blocks)
         return power_normalize(sym)
 
-    def _dec_features(self, received: list[Tensor], snr_db, batch: int) -> Tensor:
-        c = self.config
-        zeros = Tensor(np.zeros((batch, c.num_blocks, 1)))
-        slots = [
-            received[tau].reshape(batch, c.num_blocks, 1) if tau < len(received) else zeros
-            for tau in range(c.rounds)
-        ]
-        emb = self.snr_embed_graph(snr_db) + Tensor(
-            np.zeros((batch, c.num_blocks, c.snr_emb_dim))
-        )
-        return ad.concat(slots + [emb], axis=-1)
+    def generate_feedback_graph(self, t: int, received: list[Tensor], emb: Tensor) -> Tensor:
+        """Feedback symbols after reception t, (B, num_blocks).
 
-    def generate_feedback_graph(self, t: int, received: list[Tensor], snr_db) -> Tensor:
-        """Feedback symbols after reception t, (B, num_blocks)."""
+        emb is the receiver's embedding of round t's SNR, from snr_embed_graph.
+        """
+        c = self.config
         if len(received) != t + 1:
             raise ProtocolViolation(
                 f"feedback for round {t} needs receptions 0..{t}, got {len(received)}"
             )
-        batch = received[0].shape[0]
-        q = self._dec_features(received, snr_db, batch)
+        q = self._features(None, received + [None] * (c.rounds - len(received)), emb)
         x = self.fb_stack(self.fb_embed(q))
-        fb = self.fb_head(x).reshape(batch, self.config.num_blocks)
+        fb = self.fb_head(x).reshape(received[0].shape[0], c.num_blocks)
         return power_normalize(fb)
 
-    def decode_graph(self, received: list[Tensor], snr_db_rounds) -> Tensor:
-        """Per-block class logits after all rounds, (B, num_blocks, 2^m)."""
+    def decode_graph(self, received: list[Tensor], embs: list[Tensor]) -> Tensor:
+        """Per-block class logits after all rounds, (B, num_blocks, 2^m).
+
+        embs holds the receiver's embedding of every round's SNR, from
+        snr_embed_graph; the decoder conditions on their mean.
+        """
         c = self.config
         if len(received) != c.rounds:
             raise ProtocolViolation(
                 f"final decode needs {c.rounds} receptions, got {len(received)}"
             )
-        batch = received[0].shape[0]
-        # One shared conditioning vector: the mean embedding over the trace.
-        # Accepts one SNR per round, (rounds,), or per sample, (B, rounds).
-        snrs = np.atleast_1d(np.asarray(snr_db_rounds, dtype=float))
-        per_round = [snrs[..., t] for t in range(snrs.shape[-1])]
-        embs = [self.snr_embed_graph(s) for s in per_round]
         emb = embs[0]
         for e in embs[1:]:
             emb = emb + e
         emb = emb * (1.0 / len(embs))
-        zeros = Tensor(np.zeros((batch, c.num_blocks, 1)))
-        slots = [
-            received[tau].reshape(batch, c.num_blocks, 1) if tau < len(received) else zeros
-            for tau in range(c.rounds)
-        ]
-        emb = emb + Tensor(np.zeros((batch, c.num_blocks, c.snr_emb_dim)))
-        q = ad.concat(slots + [emb], axis=-1)
-        x = self.dec_stack(self.dec_embed(q))
+        x = self.dec_stack(self.dec_embed(self._features(None, received, emb)))
         return self.dec_head(x)
+
+    def _features(self, head: Tensor | None, slots: list[Tensor | None], emb: Tensor) -> Tensor:
+        """The input of all three networks, (B, num_blocks, features).
+
+        Concatenates the optional head (the encoder's message, (B,
+        num_blocks, m)), one column per (B, num_blocks) slot with zeros where
+        the slot is None, and the (B or 1, 1, emb) SNR embedding broadcast to
+        every block.
+        """
+        c = self.config
+        batch = (slots[0] if head is None else head).shape[0]
+        zeros = Tensor(np.zeros((batch, c.num_blocks, 1)))
+        columns = [zeros if s is None else s.reshape(batch, c.num_blocks, 1) for s in slots]
+        emb = emb + Tensor(np.zeros((batch, c.num_blocks, c.snr_emb_dim)))
+        return ad.concat(([] if head is None else [head]) + columns + [emb], axis=-1)
+
+
+def feedback_window(config: AfcConfig, t: int) -> range:
+    """Feedback rounds the encoder reads at round t: t - L - window .. t - L.
+
+    Without a sparse window every round up to t - L; empty while t < L. The
+    encoder's masking and the FLOP count both follow this one rule.
+    """
+    newest = t - config.feedback_lag
+    window = config.sparse_ff_window
+    return range(0 if window is None else max(0, newest - window), newest + 1)
 
 
 def power_normalize(sym: Tensor) -> Tensor:
@@ -353,6 +335,7 @@ def session_graph(
     bits_pm = Tensor(_bits_to_pm_blocks(bits, c))
     codewords: list[Tensor] = []
     received: list[Tensor] = []
+    embs: list[Tensor] = []  # the receiver's SNR embeddings, one per round
     fb_received: list[Tensor] = []
 
     for t in range(c.rounds):
@@ -365,10 +348,11 @@ def session_graph(
             y = cw + Tensor(sigma * rng.standard_normal((batch, c.num_blocks)))
         codewords.append(cw)
         received.append(y)
+        embs.append(model.snr_embed_graph(snr_t))
 
         # Feedback that no later round can consume is never generated.
         if t <= c.rounds - 1 - c.feedback_lag:
-            fb = model.generate_feedback_graph(t, received, snr_t)
+            fb = model.generate_feedback_graph(t, received, embs[t])
             if noiseless_feedback:
                 fb_received.append(fb)
             else:
@@ -377,7 +361,7 @@ def session_graph(
                     fb + Tensor(fb_sigma * rng.standard_normal((batch, c.num_blocks)))
                 )
 
-    return model.decode_graph(received, snrs)
+    return model.decode_graph(received, embs)
 
 
 def block_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -448,13 +432,7 @@ def encoder_param_count(config: AfcConfig) -> int:
 def _active_inputs(config: AfcConfig, t: int) -> int:
     """Input columns that are structurally non-zero when encoding round t."""
     c = config
-    fb_hi = t - c.feedback_lag
-    if fb_hi < 0:
-        n_fb = 0
-    else:
-        fb_lo = 0 if c.sparse_ff_window is None else max(0, fb_hi - c.sparse_ff_window)
-        n_fb = fb_hi - fb_lo + 1
-    return c.block_size + t + n_fb + c.snr_emb_dim
+    return c.block_size + t + len(feedback_window(c, t)) + c.snr_emb_dim
 
 
 def encoder_session_flops(config: AfcConfig) -> int:

@@ -252,9 +252,7 @@ def validate_params(kind: str, params: dict) -> dict:
                 f"params.{key}: expected {spec.type}, got {type(value).__name__}"
             )
         out[key] = value
-    if kind == "train" or (kind == "gradcheck" and out.get("model")):
-        _check_fields("params.model", out.get("model"), AfcConfig)
-    if kind == "complexity":
+    if kind in ("train", "gradcheck", "complexity"):
         _check_fields("params.model", out.get("model"), AfcConfig)
     return out
 
@@ -427,14 +425,8 @@ def _run_complexity(p: dict, seed, out: Path) -> list[str]:
 
 def _run_gradcheck(p: dict, seed, out: Path) -> list[str]:
     overrides = p["model"]
-    config = AfcConfig.tiny(**overrides) if overrides else None
-    results = run_gradient_checks(seed=seed, h=p["step"], tol=p["tolerance"])
-    if config is not None:
-        from .gradcheck import check_session_loss
-
-        results["session_loss_custom"] = check_session_loss(config, seed=seed, h=p["step"])
-        results["max_rel_error"] = max(results["max_rel_error"], results["session_loss_custom"])
-        results["passed"] = bool(results["max_rel_error"] < p["tolerance"])
+    custom = AfcConfig.tiny(**overrides) if overrides else None
+    results = run_gradient_checks(seed, p["step"], p["tolerance"], custom)
     write_json(out / "gradcheck.json", results)
     return ["gradcheck.json"]
 

@@ -31,22 +31,18 @@ def _probe_loss(module: Module, x_data: np.ndarray, probe: np.ndarray) -> float:
     return (out * Tensor(probe)).sum().item()
 
 
-def _max_rel_error(module: Module, x_data: np.ndarray, probe: np.ndarray, h: float) -> float:
-    module.zero_grad()
-    out = module(Tensor(x_data))
-    loss = (out * Tensor(probe)).sum()
-    loss.backward()
+def _worst_fd_error(params, grads: dict[str, np.ndarray], loss, h: float) -> float:
+    """Max relative error of grads against central differences of loss()."""
     worst = 0.0
-    for _, p in module.parameters():
-        grad = np.zeros_like(p.data) if p.grad is None else p.grad
+    for name, p in params:
         flat = p.data.ravel()
-        gflat = grad.ravel()
+        gflat = grads[name].ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = _probe_loss(module, x_data, probe)
+            up = loss()
             flat[i] = orig - h
-            down = _probe_loss(module, x_data, probe)
+            down = loss()
             flat[i] = orig
             fd = (up - down) / (2.0 * h)
             err = abs(gflat[i] - fd) / max(1.0, abs(gflat[i]), abs(fd))
@@ -54,25 +50,31 @@ def _max_rel_error(module: Module, x_data: np.ndarray, probe: np.ndarray, h: flo
     return worst
 
 
-def check_session_loss(
-    config: AfcConfig | None = None,
-    seed: int = 0,
-    h: float = DEFAULT_STEP,
-) -> float:
+def _max_rel_error(module: Module, x_data: np.ndarray, probe: np.ndarray, h: float) -> float:
+    module.zero_grad()
+    out = module(Tensor(x_data))
+    (out * Tensor(probe)).sum().backward()
+    params = list(module.parameters())
+    grads = {name: np.zeros_like(p.data) if p.grad is None else p.grad for name, p in params}
+    return _worst_fd_error(params, grads, lambda: _probe_loss(module, x_data, probe), h)
+
+
+# The end-to-end check's codec: every module and the sparse window, small
+# enough that finite differences over every weight stay cheap.
+_SESSION_CHECK_CONFIG = AfcConfig.tiny(
+    num_blocks=2, rounds=3, d_model=4, ff_dim=6, snr_emb_dim=3, dec_layers=2, sparse_ff_window=1
+)
+
+
+def check_session_loss(config: AfcConfig, seed: int, h: float) -> float:
     """Max relative gradient error of a full end-to-end session loss."""
-    config = (
-        AfcConfig.tiny(num_blocks=2, rounds=3, d_model=4, ff_dim=6, snr_emb_dim=3,
-                       dec_layers=2, sparse_ff_window=1)
-        if config is None
-        else config
-    )
     model = AfcModel(config, seed=seed)
     rng = np.random.default_rng(seed + 1)
     bits = rng.integers(0, 2, (2, config.k))
     snrs = rng.uniform(-1.0, 5.0, config.rounds)
     noise_seed = seed + 2
 
-    def run():
+    def loss_and_grads():
         return forward_backward(
             model,
             bits,
@@ -82,30 +84,21 @@ def check_session_loss(
             feedback_snr_db=8.0,
         )
 
-    _, grads = run()
-    worst = 0.0
-    for name, p in model.parameters():
-        flat = p.data.ravel()
-        gflat = grads[name].ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up, _ = run()
-            flat[i] = orig - h
-            down, _ = run()
-            flat[i] = orig
-            fd = (up - down) / (2.0 * h)
-            err = abs(gflat[i] - fd) / max(1.0, abs(gflat[i]), abs(fd))
-            worst = max(worst, err)
-    return worst
+    _, grads = loss_and_grads()
+    return _worst_fd_error(model.parameters(), grads, lambda: loss_and_grads()[0], h)
 
 
 def run_gradient_checks(
-    seed: int = 0, h: float = DEFAULT_STEP, tol: float = DEFAULT_TOL
+    seed: int = 0,
+    h: float = DEFAULT_STEP,
+    tol: float = DEFAULT_TOL,
+    custom: AfcConfig | None = None,
 ) -> dict:
     """Check every layer type plus the end-to-end session loss.
 
-    Returns per-check max relative errors plus an overall pass flag.
+    A `custom` codec config adds a second session check,
+    `session_loss_custom`. Returns per-check max relative errors plus an
+    overall pass flag.
     """
     rng = np.random.default_rng(seed)
     results: dict[str, float] = {}
@@ -123,7 +116,9 @@ def run_gradient_checks(
         probe = rng.standard_normal(out_shape)
         results[name] = _max_rel_error(module, x, probe, h)
 
-    results["session_loss"] = check_session_loss(seed=seed, h=h)
+    results["session_loss"] = check_session_loss(_SESSION_CHECK_CONFIG, seed, h)
+    if custom is not None:
+        results["session_loss_custom"] = check_session_loss(custom, seed, h)
     results["max_rel_error"] = max(results.values())
     results["tolerance"] = tol
     results["passed"] = bool(results["max_rel_error"] < tol)

@@ -12,6 +12,7 @@ from fbclab.afc import (
     count_complexity,
     encoder_param_count,
     encoder_session_flops,
+    feedback_window,
     forward_backward,
     load_checkpoint,
     logits_to_bits,
@@ -196,7 +197,8 @@ def test_feedback_generator_contract():
 
     def feedback(scale=1.0):
         with ad.no_grad():
-            return model.generate_feedback_graph(2, [Tensor(scale * r) for r in received], 1.5).data
+            emb = model.snr_embed_graph(1.5)
+            return model.generate_feedback_graph(2, [Tensor(scale * r) for r in received], emb).data
 
     fb = feedback()
     assert fb.shape == (1, TINY.num_blocks)
@@ -221,10 +223,11 @@ def test_block_permutation_equivariance():
     model = AfcModel(TINY, seed=14)  # no positional parameters by default
     rng = np.random.default_rng(15)
     received = _rand_received(rng, 2, TINY)
-    logits = model.decode_graph(received, np.zeros(TINY.rounds)).data
+    embs = [model.snr_embed_graph(snr) for snr in (0.0, 2.0, -1.0, 4.0, 1.0)]
+    logits = model.decode_graph(received, embs).data
     perm = np.array([2, 0, 3, 1])
     permuted = [Tensor(r.data[:, perm]) for r in received]
-    logits_p = model.decode_graph(permuted, np.zeros(TINY.rounds)).data
+    logits_p = model.decode_graph(permuted, embs).data
     assert np.allclose(logits_p, logits[:, perm], atol=1e-12)
 
 
@@ -263,6 +266,24 @@ def test_smoke_training_beats_random_guessing():
 
 
 # -- session engine --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cfg", [AfcConfig.default_full(), AfcConfig.default_light()])
+def test_session_embeds_each_snr_once_per_side(monkeypatch, cfg):
+    # The transmitter embeds its round's SNR; the receiver embeds each round's
+    # SNR once for its feedback generator and its decoder.
+    calls = [0]
+    embed = AfcModel.snr_embed_graph
+
+    def counted(self, snr_db):
+        calls[0] += 1
+        return embed(self, snr_db)
+
+    monkeypatch.setattr(AfcModel, "snr_embed_graph", counted)
+    rng = np.random.default_rng(0)
+    with ad.no_grad():
+        session_graph(AfcModel(cfg, seed=0), rng.integers(0, 2, (2, cfg.k)), np.zeros(cfg.rounds), rng)
+    assert calls[0] == 2 * cfg.rounds == 18
 
 
 def test_per_sample_snr_matrix_matches_shared_grid():
@@ -336,6 +357,17 @@ def test_counted_encoder_macs_match_analytic_flops(monkeypatch, cfg, measured, a
     assert encoder_session_flops(cfg) == analytic
     assert measured == analytic + 2 * cfg.num_blocks * cfg.enc_d_model * zero_columns
     assert _measured_encoder_flops(monkeypatch, cfg) == measured
+
+
+def test_active_inputs_follow_the_feedback_window():
+    for lag in (1, 2, 3, 9, 12):
+        for window in (None, 0, 1, 2, 5):
+            cfg = AfcConfig(feedback_lag=lag, sparse_ff_window=window)
+            for t in range(cfg.rounds):
+                fb = feedback_window(cfg, t)
+                oldest = 0 if window is None else t - lag - window
+                assert list(fb) == [tau for tau in range(cfg.rounds) if oldest <= tau <= t - lag]
+                assert _active_inputs(cfg, t) == cfg.block_size + t + len(fb) + cfg.snr_emb_dim
 
 
 def test_doubling_width_predicted_exactly():

@@ -169,6 +169,66 @@ def test_import_guard_sees_each_kind_of_import():
     assert list(_unused_imports(ast.parse(code))) == [(4, "d"), (5, "h"), (6, "i"), (8, "j")]
 
 
+def _definitions(tree: ast.AST):
+    """(line, name) of every module-level function and class, and of every
+    method and property of a module-level class; dunders are called
+    implicitly and are skipped."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for d in [node] + members:
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not (
+                d.name.startswith("__") and d.name.endswith("__")
+            ):
+                yield d.lineno, d.name
+
+
+def _names_read(tree: ast.AST):
+    """Every name a tree reads, attributes and imports included. String
+    constants count too: code can reach an attribute by its name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _unreferenced(defining: dict[str, ast.AST], readers: list[ast.AST]):
+    read = {name for tree in readers for name in _names_read(tree)}
+    for file, tree in defining.items():
+        for line, name in _definitions(tree):
+            if name not in read:
+                yield f"{file}:{line}: {name}"
+
+
+def test_every_definition_is_used():
+    root = SRC.parent.parent
+    readers = [
+        ast.parse(path.read_text())
+        for part in ("src", "tests", "perfbench")
+        for path in sorted((root / part).rglob("*.py"))
+    ]
+    defining = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert list(_unreferenced(defining, readers)) == []
+
+
+def test_definition_guard_sees_each_kind_of_use():
+    defining = ast.parse(
+        "def called():\n    def nested():\n        pass\ndef idle():\n    pass\n"
+        "class Used:\n    def __init__(self):\n        pass\n    @property\n    def prop(self):\n"
+        "        pass\n    def by_attr(self):\n        pass\n    def by_string(self):\n        pass\n"
+        "class Idle:\n    pass\n"
+    )
+    reader = ast.parse("called()\nUsed().by_attr()\nsetattr(Used, 'by_string', None)\n")
+    found = list(_unreferenced({"m.py": defining}, [defining, reader]))
+    assert found == ["m.py:4: idle", "m.py:10: prop", "m.py:16: Idle"]
+    importer = ast.parse("from m import idle\nimport pkg.Idle\n")
+    assert list(_unreferenced({"m.py": defining}, [reader, importer])) == ["m.py:10: prop"]
+
+
 # SHA-256 of seeded outputs that involve no inexact BLAS call, pinned from the
 # commit before the writers were merged (the HARQ cases from the commit before
 # the batched CRC); they must not move. BLAS products whose every partial sum
