@@ -238,7 +238,7 @@ class AfcModel(Module):
         zeros = Tensor(np.zeros((batch, c.num_blocks, 1)))
         columns = [zeros if s is None else s.reshape(batch, c.num_blocks, 1) for s in slots]
         emb = emb + Tensor(np.zeros((batch, c.num_blocks, c.snr_emb_dim)))
-        return ad.concat(([] if head is None else [head]) + columns + [emb], axis=-1)
+        return ad.concat(([] if head is None else [head]) + columns + [emb])
 
 
 def feedback_window(config: AfcConfig, t: int) -> range:
@@ -272,13 +272,6 @@ def bits_to_block_targets(bits: np.ndarray, config: AfcConfig) -> np.ndarray:
     b = np.asarray(bits, dtype=np.int64).reshape(-1, config.num_blocks, config.block_size)
     weights = 1 << np.arange(config.block_size - 1, -1, -1)
     return (b * weights).sum(axis=-1)
-
-
-def block_targets_to_bits(targets: np.ndarray, config: AfcConfig) -> np.ndarray:
-    t = np.asarray(targets, dtype=np.int64)
-    shifts = np.arange(config.block_size - 1, -1, -1)
-    bits = (t[..., None] >> shifts) & 1
-    return bits.reshape(t.shape[0], -1)
 
 
 def logits_to_bits(logits: np.ndarray) -> np.ndarray:

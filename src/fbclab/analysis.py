@@ -1,11 +1,12 @@
-"""Link budget, coverage, receiver sensitivity, and encoder-throughput estimates.
+"""Coverage ratios, receiver sensitivity, and encoder-throughput estimates.
 
-Coverage uses the log-distance path loss model PL(d) = PL0 + 10*n*log10(d/d0).
-Receiver sensitivity differences in dB equal SNR differences at the same
+Under the log-distance path loss model PL(d) = PL0 + 10*n*log10(d/d0),
+receiver sensitivity differences in dB equal SNR differences at the same
 target PER, so a scheme's SNR advantage maps directly to a coverage-distance
-ratio and, under a hexagonal layout, to an inverse-square access-point
-density ratio. Only ratios are reported; absolute densities depend on
-deployment constants that cancel out.
+ratio 10^(delta/(10 n)) and, under a hexagonal layout, to an inverse-square
+access-point density ratio. The module reports these ratios only: absolute
+distances and densities depend on deployment constants (PL0, d0, transmit
+power, antenna gains) that cancel out of every ratio.
 """
 
 from __future__ import annotations
@@ -19,28 +20,6 @@ from .errors import ConfigError, InputDomainError, RangeError
 from .results import emit_results
 
 FPGA_CSV_HEADER = ["family", "dsp_gmacs", "peak_gflops", "latency_us"]
-
-
-@dataclass
-class PathLossModel:
-    pl0_db: float = 40.0
-    d0_m: float = 1.0
-    exponent: float = 3.0  # typical urban value
-
-    def __post_init__(self):
-        if self.exponent <= 0 or self.d0_m <= 0:
-            raise ConfigError("path-loss exponent and reference distance must be > 0")
-
-    def path_loss(self, d_m: float) -> float:
-        return self.pl0_db + 10.0 * self.exponent * math.log10(d_m / self.d0_m)
-
-
-@dataclass
-class LinkBudget:
-    p_tx_dbm: float
-    g_tx_dbi: float
-    g_rx_dbi: float
-    s_rx_dbm: float  # receiver sensitivity at the target PER
 
 
 @dataclass
@@ -65,16 +44,6 @@ FPGA_FAMILIES = [
     FpgaSpec("Kintex-7", 2845.0),
     FpgaSpec("Virtex-7", 5335.0),
 ]
-
-
-def max_path_loss(b: LinkBudget) -> float:
-    """Largest tolerable path loss for the link to stay at the target PER."""
-    return b.p_tx_dbm + b.g_tx_dbi + b.g_rx_dbi - b.s_rx_dbm
-
-
-def max_distance(m: PathLossModel, pl_max_db: float) -> float:
-    """Distance at which the path loss reaches pl_max."""
-    return m.d0_m * 10.0 ** ((pl_max_db - m.pl0_db) / (10.0 * m.exponent))
 
 
 def distance_ratio(delta_snr_db: float, exponent: float = 3.0) -> float:

@@ -1,10 +1,16 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A Tensor wraps a float64 ndarray plus, when a gradient flows through it, a
-tape node: elementwise arithmetic with broadcasting, batched matmul,
-reductions, concatenation, and the handful of nonlinearities the codec uses.
-Gradients are exact; every primitive's backward rule is covered by a
-finite-difference test.
+tape node. The operations are the ones the codec, its loss and its training
+use, and no more:
+- `+`, `*` and `/` with broadcasting (`add` and `mul` also write in place),
+  and batched matmul `@`;
+- `reshape` and `swap_last_axes`;
+- `sum()` and `mean()` of every element, to a scalar;
+- `concat` and `softmax` over the last axis;
+- `sqrt`, `gelu`, `layer_norm` and `cross_entropy`.
+`backward()` starts from a scalar. Gradients are exact; every primitive's
+backward rule is covered by a finite-difference test.
 
 A node holds only what backward reads: its parent nodes with one backward
 rule each, or, for a leaf (a parameter or a flagged input), the gradient it
@@ -12,11 +18,11 @@ accumulates, which the leaf's `grad` reads. A node never refers to a
 Tensor, so no reference cycle delays freeing a dropped model or graph. A
 rule captures exactly the arrays and shapes its formula reads, never an
 operand Tensor: a sum keeps shapes, a product with a constant keeps the
-constant, `exp` and `sqrt` their output, `log` its input, a matmul its
-operands. So an op's output array is freed as soon as no Python name and no
-rule refers to it, as in PyTorch (Paszke et al., 2019), where graph nodes
-hold saved tensors, not outputs. The graph itself lives until its output is
-dropped, and backward may run on it more than once.
+constant, `sqrt` its output, a matmul its operands. So an op's output array
+is freed as soon as no Python name and no rule refers to it, as in PyTorch
+(Paszke et al., 2019), where graph nodes hold saved tensors, not outputs.
+The graph itself lives until its output is dropped, and backward may run on
+it more than once.
 
 In-place rule: an array may be overwritten only when no rule saved it and no
 other name holds its Tensor. `add` and `mul` take `out=`, one of their
@@ -140,10 +146,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
 
@@ -157,17 +159,14 @@ class Tensor:
         if self._node is not None:
             self._node.grad = None
 
-    def backward(self, grad: np.ndarray | None = None):
-        """Backpropagate from this tensor through the recorded graph.
+    def backward(self):
+        """Backpropagate from this scalar tensor through the recorded graph.
 
         The graph is kept, so calling backward again adds the same gradients.
         """
-        if grad is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without a seed needs a scalar output")
-            grad = np.ones_like(self.data)
-
-        grad = np.asarray(grad, dtype=np.float64)
+        if self.data.size != 1:
+            raise ValueError("backward() needs a scalar output")
+        grad = np.ones_like(self.data)
         root = self._node
         if root is None:
             return
@@ -213,17 +212,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = as_tensor(other)
-        sa, sb = self.data.shape, other.data.shape
-        return _make(self.data - other.data, [
-            (self, lambda g: _unbroadcast(g, sa)),
-            (other, lambda g: _unbroadcast(-g, sb)),
-        ])
-
-    def __rsub__(self, other):
-        return as_tensor(other) - self
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -237,18 +225,6 @@ class Tensor:
             (self, lambda g: _unbroadcast(g / b, sa)),
             (other, lambda g: _unbroadcast(-g * a / (b * b), sb)),
         ])
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
-    def __neg__(self):
-        return _make(-self.data, [(self, lambda g: -g)])
-
-    def __pow__(self, p: float):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        x = self.data
-        return _make(x ** p, [(self, lambda g: g * p * x ** (p - 1))])
 
     def __matmul__(self, other):
         other = as_tensor(other)
@@ -291,23 +267,14 @@ class Tensor:
 
     # -- reductions ---------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self):
+        """Sum of every element, a scalar."""
         shape = self.data.shape
+        return _make(self.data.sum(), [(self, lambda g: np.broadcast_to(g, shape).copy())])
 
-        def grad_fn(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, shape).copy()
-
-        return _make(out_data, [(self, grad_fn)])
-
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            count = self.data.size
-        else:
-            count = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    def mean(self):
+        """Mean of every element, a scalar."""
+        return self.sum() * (1.0 / self.data.size)
 
 
 def _make(data: np.ndarray, parents) -> Tensor:
@@ -371,35 +338,17 @@ def mul(a, b, out: Tensor | None = None) -> Tensor:
 # -- functions ---------------------------------------------------------------
 
 
-def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
+def concat(tensors: list[Tensor]) -> Tensor:
+    """Concatenation along the last axis."""
     tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.data.shape[-1] for t in tensors])
 
     def make_grad(i):
         lo, hi = offsets[i], offsets[i + 1]
+        return lambda g: g[..., lo:hi]
 
-        def grad_fn(g):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            return g[tuple(index)]
-
-        return grad_fn
-
-    data = np.concatenate([t.data for t in tensors], axis=axis)
+    data = np.concatenate([t.data for t in tensors], axis=-1)
     return _make(data, [(t, make_grad(i)) for i, t in enumerate(tensors)])
-
-
-def exp(t: Tensor) -> Tensor:
-    t = as_tensor(t)
-    out_data = np.exp(t.data)
-    return _make(out_data, [(t, lambda g: g * out_data)])
-
-
-def log(t: Tensor) -> Tensor:
-    t = as_tensor(t)
-    x = t.data
-    return _make(np.log(x), [(t, lambda g: g / x)])
 
 
 def sqrt(t: Tensor) -> Tensor:
@@ -429,22 +378,22 @@ def gelu(t: Tensor) -> Tensor:
     return _make(x * cdf, [(t, grad_fn)])
 
 
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
+def softmax(t: Tensor) -> Tensor:
+    """Softmax over the last axis."""
     t = as_tensor(t)
-    x = np.moveaxis(t.data, axis, -1)
+    x = t.data
     p = x - _max_last(x)
     np.exp(p, out=p)
     p /= _sum_last(p)
 
     def grad_fn(g):
         # p * (g - sum(g * p)), in one temporary.
-        g = np.moveaxis(g, axis, -1)
         d = g * p
         np.subtract(g, _sum_last(d), out=d)
         d *= p
-        return np.moveaxis(d, -1, axis)
+        return d
 
-    return _make(np.moveaxis(p, -1, axis), [(t, grad_fn)])
+    return _make(p, [(t, grad_fn)])
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:

@@ -5,21 +5,19 @@ noise_sigma(snr_db) (signal power is taken as 1, which is the caller's
 normalization contract). afc.session_graph and the HARQ and uncoded trials
 all draw their noise at that level. Traces of time-varying SNR are produced
 by either a fixed level, a mean-reverting (Ornstein-Uhlenbeck style) process,
-or a piecewise-linear schedule.
+or a piecewise-linear schedule. They live in memory only: sample_traces draws
+one per session of a batch and traces_at reads them at the round times; no
+experiment writes a trace to a file.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import ConfigError, InputDomainError
-from .results import emit_results
-
-TRACE_CSV_HEADER = ["time_ms", "snr_db"]
 
 TracePoint = tuple[float, float]  # (time_ms, snr_db)
 
@@ -177,16 +175,3 @@ def trace_value_at(trace: list[TracePoint], time_ms: float) -> float:
     vs = np.array([v for _, v in trace])
     return float(np.interp(time_ms, ts, vs))
 
-
-def write_trace_csv(trace: list[TracePoint], path) -> None:
-    records = [{"time_ms": f"{t:.6f}", "snr_db": f"{v:.6f}"} for t, v in trace]
-    emit_results(records, "csv", path, TRACE_CSV_HEADER)
-
-
-def read_trace_csv(path) -> list[TracePoint]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TRACE_CSV_HEADER:
-            raise ConfigError(f"unexpected trace header: {header}")
-        return [(float(t), float(v)) for t, v in reader]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, InputDomainError, ProtocolViolation
+from .errors import InputDomainError, ProtocolViolation
 
 GENERATORS = (0o133, 0o171, 0o165)
 CONSTRAINT_LEN = 7
@@ -72,20 +72,12 @@ def conv_encode(bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def viterbi_decode(llrs: np.ndarray) -> np.ndarray:
-    """Maximum-likelihood decode of one zero-tail codeword from channel LLRs.
-
-    Ties between merging paths are broken toward the 0-branch so decoding is
-    deterministic. Input length must be 3*(K+6); returns the K message bits.
-    """
-    llrs = np.asarray(llrs, dtype=float)
-    if llrs.ndim != 1:
-        raise ProtocolViolation("viterbi_decode expects a 1-D LLR vector")
-    return viterbi_decode_batch(llrs[None, :])[0]
-
-
 def viterbi_decode_batch(llrs: np.ndarray) -> np.ndarray:
-    """Vectorized Viterbi over a batch of codewords, shape (B, 3*(K+6))."""
+    """Maximum-likelihood decode of zero-tail codewords from channel LLRs.
+
+    llrs has shape (B, 3*(K+6)), one codeword per row; returns the (B, K)
+    message bits. Rows are decoded independently.
+    """
     llrs = np.asarray(llrs, dtype=float)
     if llrs.ndim != 2 or llrs.shape[1] % RATE_INV != 0:
         raise ProtocolViolation(
@@ -137,17 +129,6 @@ def viterbi_decode_batch(llrs: np.ndarray) -> np.ndarray:
         decoded[:, t] = state >> (TAIL_BITS - 1)
         state = ((state & (half - 1)) << 1) | survivor[t][state, cols]
     return decoded[:, : n_steps - TAIL_BITS]
-
-
-def chase_combine(llr_sets: list[np.ndarray]) -> np.ndarray:
-    """Elementwise LLR sum over replica receptions (maximal-ratio combining)."""
-    if not llr_sets:
-        raise ConfigError("chase_combine needs at least one LLR set")
-    arrs = [np.asarray(a, dtype=float) for a in llr_sets]
-    length = arrs[0].shape
-    if any(a.shape != length for a in arrs):
-        raise InputDomainError("chase_combine LLR sets must share one length")
-    return np.sum(arrs, axis=0)
 
 
 def modulate_bpsk(bits: np.ndarray) -> np.ndarray:

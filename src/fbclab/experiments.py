@@ -32,7 +32,7 @@ from .afc import (
     load_checkpoint,
     save_checkpoint,
 )
-from .analysis import coverage_report, fpga_report
+from .analysis import coverage_report, fpga_report, fpga_report_csv
 from .channel import MeanRevertingTrace, PiecewiseTrace
 from .errors import ConfigError, NumericalFailure
 from .gradcheck import run_gradient_checks
@@ -134,7 +134,7 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
         "uplink_trace": ParamSpec(
             "dict",
             None,
-            "time-varying uplink for the neural scheme: {kind: mean-reverting|piecewise, ...};"
+            "time-varying uplink, scheme neural only: {kind: mean-reverting|piecewise, ...};"
             " the grid point sets the trace mean",
         ),
         "round_period_ms": ParamSpec("number", 1.0, "per-round spacing along the trace"),
@@ -355,7 +355,6 @@ def _run_timeline(p: dict, seed, out: Path) -> list[str]:
         _timing_from_params(p),
         p["mode"],
         inference_jitter=jitter,
-        rng=np.random.default_rng(seed or 0),
         feedback_lag=p["feedback_lag"],
     )
     timeline_to_csv(tl, out / "timeline.csv")
@@ -416,8 +415,6 @@ def _run_complexity(p: dict, seed, out: Path) -> list[str]:
     write_json(out / "complexity.json", payload)
     outputs = ["complexity.json"]
     if p["fpga"]:
-        from .analysis import fpga_report_csv
-
         fpga_report_csv(fpga_report(light["flops_per_session"]), out / "fpga.csv")
         outputs.append("fpga.csv")
     return outputs
@@ -449,6 +446,8 @@ def _trace_kind(trace_params: dict):
 def _run_per_sweep(p: dict, seed: int, out: Path) -> list[str]:
     grid = expand_grid(p["snr_grid"], "snr_grid")
     scheme = p["scheme"]
+    if p["uplink_trace"] is not None and scheme in ("harq-cc", "uncoded"):
+        raise ConfigError("params.uplink_trace: only scheme 'neural' reads it")
     if scheme == "harq-cc":
         trial = harq_trial_fn(
             HarqConfig(p["harq_k"], p["harq_max_attempts"], p["harq_use_crc16"])

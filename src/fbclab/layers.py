@@ -11,6 +11,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
+LAYER_NORM_EPS = 1e-5
+
 
 class Module:
     def __init__(self):
@@ -70,14 +72,13 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         super().__init__()
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gamma, self.beta, self.eps)
+        return ad.layer_norm(x, self.gamma, self.beta, LAYER_NORM_EPS)
 
 
 class SelfAttention(Module):
@@ -95,7 +96,7 @@ class SelfAttention(Module):
         q, k, v = self.wq(x), self.wk(x), self.wv(x)
         scores = q @ k.swap_last_axes()  # scaled in place: no rule reads it
         scores = ad.mul(scores, self.scale, out=scores)
-        return self.wo(ad.softmax(scores, axis=-1) @ v)
+        return self.wo(ad.softmax(scores) @ v)
 
 
 class FeedForward(Module):
@@ -142,17 +143,16 @@ class TransformerStack(Module):
 
 
 class SnrMlp(Module):
-    """Two-layer MLP lifting a scalar SNR (dB) to an embedding vector.
+    """Two-layer MLP, emb_dim wide, lifting a scalar SNR (dB) to an embedding.
 
     Shared by encoder and decoder and across rounds; deterministic in its
     input, so equal SNRs always produce equal embeddings.
     """
 
-    def __init__(self, emb_dim: int, rng: np.random.Generator, hidden: int | None = None):
+    def __init__(self, emb_dim: int, rng: np.random.Generator):
         super().__init__()
-        hidden = emb_dim if hidden is None else hidden
-        self.fc1 = Linear(1, hidden, rng)
-        self.fc2 = Linear(hidden, emb_dim, rng)
+        self.fc1 = Linear(1, emb_dim, rng)
+        self.fc2 = Linear(emb_dim, emb_dim, rng)
 
     def __call__(self, snr_db: Tensor) -> Tensor:
         return self.fc2(ad.gelu(self.fc1(snr_db)))

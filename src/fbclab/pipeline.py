@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .errors import ConfigError, InputDomainError
 from .results import emit_results
 
@@ -128,29 +126,19 @@ class Timeline:
     skipped_rounds: list[int]
 
 
-def _jitter_value(inference_jitter, t: int, rng) -> float:
-    if inference_jitter is None:
-        return 0.0
-    if isinstance(inference_jitter, dict):
-        return float(inference_jitter.get(t, 0.0))
-    if callable(inference_jitter):
-        return float(inference_jitter(rng, t))
-    raise ConfigError("inference_jitter must be None, a dict, or a callable")
-
-
 def simulate_timeline(
     p: TimingParams,
     mode: str,
-    inference_jitter=None,
-    rng: np.random.Generator | None = None,
+    inference_jitter: dict[int, float] | None = None,
     feedback_lag: int = 2,
 ) -> Timeline:
     """Play out one session against the granted slot schedule.
 
-    inference_jitter adds to a round's encoding time; give a {round: ms}
-    mapping or a callable (rng, round) -> ms. All events of a skipped round
-    move together to the next feasible slot boundary and later rounds shift
-    with them, so a single long stall produces exactly one SlotSkipped event.
+    inference_jitter maps a round to the ms it adds to that round's encoding
+    time; rounds it omits add none. The timeline is deterministic. All events
+    of a skipped round move together to the next feasible slot boundary and
+    later rounds shift with them, so a single long stall produces exactly one
+    SlotSkipped event.
     """
     if mode not in ("sync", "async"):
         raise ConfigError(f"mode must be 'sync' or 'async', got {mode!r}")
@@ -158,7 +146,7 @@ def simulate_timeline(
         raise InputDomainError("the pipelined schedule needs rounds >= 2")
     if mode == "async" and feedback_lag < 2:
         raise ConfigError("the pipelined schedule requires feedback_lag >= 2")
-    rng = np.random.default_rng(0) if rng is None else rng
+    jitter = inference_jitter or {}
 
     T = p.rounds
     delta, dtail = p.delta, p.delta_tilde
@@ -189,7 +177,7 @@ def simulate_timeline(
             else:
                 ready = enc_end[t - 1]
         e_start = ready
-        e_end = e_start + p.tau_enc + _jitter_value(inference_jitter, t, rng)
+        e_end = e_start + p.tau_enc + jitter.get(t, 0.0)
 
         slot = nominal_tx_start[t] + shift
         if e_end > slot:

@@ -8,7 +8,6 @@ from fbclab.afc import (
     AfcModel,
     _active_inputs,
     bits_to_block_targets,
-    block_targets_to_bits,
     count_complexity,
     encoder_param_count,
     encoder_session_flops,
@@ -47,7 +46,7 @@ def _embed(model, snr_db):
 
 def test_snr_embedding_hand_computed_at_zero():
     rng = np.random.default_rng(0)
-    mlp = SnrMlp(2, rng, hidden=2)
+    mlp = SnrMlp(2, rng)
     w1 = np.array([[0.5, -1.0]])
     b1 = np.array([0.25, 0.75])
     w2 = np.array([[1.0, 2.0], [-0.5, 0.0]])
@@ -243,7 +242,10 @@ def test_block_bit_mappings_round_trip():
     bits = rng.integers(0, 2, (5, TINY.k))
     targets = bits_to_block_targets(bits, TINY)
     assert targets.shape == (5, TINY.num_blocks)
-    assert np.array_equal(block_targets_to_bits(targets, TINY), bits)
+    # The loss's class order and the PER readout agree: one-hot logits on
+    # each block's target read back as the block's bits.
+    one_hot = np.eye(2**TINY.block_size)[targets]
+    assert np.array_equal(logits_to_bits(one_hot), bits)
 
 
 def test_smoke_training_beats_random_guessing():

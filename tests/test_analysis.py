@@ -6,42 +6,15 @@ import pytest
 from fbclab.analysis import (
     FPGA_FAMILIES,
     FpgaSpec,
-    LinkBudget,
-    PathLossModel,
     coverage_report,
     density_ratio,
     distance_ratio,
     fpga_encode_latency,
     fpga_report,
     fpga_report_csv,
-    max_distance,
-    max_path_loss,
     sensitivity_from_per_curve,
 )
 from fbclab.errors import ConfigError, InputDomainError, RangeError
-
-
-def test_max_path_loss():
-    assert max_path_loss(LinkBudget(20, 0, 0, -90)) == 110
-    assert max_path_loss(LinkBudget(0, 0, 0, 0)) == 0
-    base = max_path_loss(LinkBudget(23, 2, 3, -85))
-    for x in (1.0, 3.5, 10.0):
-        assert max_path_loss(LinkBudget(23, 2, 3, -85 - x)) == base + x
-
-
-def test_max_distance():
-    m = PathLossModel(pl0_db=40, d0_m=1, exponent=3)
-    assert max_distance(m, 40) == pytest.approx(1.0)
-    assert max_distance(m, 70) == pytest.approx(10.0)
-    for pl in (55.0, 90.0, 120.0):
-        assert abs(m.path_loss(max_distance(m, pl)) - pl) < 1e-9
-
-
-def test_max_distance_monotonicity():
-    m = PathLossModel(40, 1, 3)
-    assert max_distance(m, 80) < max_distance(m, 90)
-    shallow, steep = PathLossModel(40, 1, 2.5), PathLossModel(40, 1, 3.5)
-    assert max_distance(steep, 90) < max_distance(shallow, 90)
 
 
 def test_distance_ratio_values():

@@ -8,10 +8,8 @@ from fbclab.channel import (
     MeanRevertingTrace,
     PiecewiseTrace,
     noise_sigma,
-    read_trace_csv,
     sample_trace_kind,
     trace_value_at,
-    write_trace_csv,
 )
 from fbclab.errors import ConfigError, NumericalFailure
 
@@ -163,15 +161,3 @@ def test_trace_value_interpolation():
     assert trace_value_at(trace, 4.0) == pytest.approx(2.0)
     assert trace_value_at(trace, -5.0) == 0.0
     assert trace_value_at(trace, 99.0) == 5.0
-
-
-def test_trace_csv_round_trip(tmp_path):
-    trace = _trace(MeanRevertingTrace(2.0), 20.0, seed=5)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "time_ms,snr_db"
-    back = read_trace_csv(path)
-    assert len(back) == len(trace)
-    for (t1, v1), (t2, v2) in zip(trace, back):
-        assert abs(t1 - t2) < 1e-6 and abs(v1 - v2) < 1e-6

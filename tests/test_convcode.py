@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from fbclab.convcode import (
     GENERATORS,
     TAIL_BITS,
-    chase_combine,
     conv_encode,
     modulate_bpsk,
-    viterbi_decode,
     viterbi_decode_batch,
 )
-from fbclab.errors import ConfigError, InputDomainError, ProtocolViolation
+from fbclab.errors import InputDomainError, ProtocolViolation
 
 
 def test_all_zero_input():
@@ -45,14 +43,14 @@ def test_round_trip_noiseless():
     for k in (5, 47, 48):
         bits = rng.integers(0, 2, k)
         llr = modulate_bpsk(conv_encode(bits)) * 4.0
-        assert np.array_equal(viterbi_decode(llr), bits)
+        assert np.array_equal(viterbi_decode_batch(llr[None])[0], bits)
 
 
 def test_llr_positive_scaling_invariance():
     rng = np.random.default_rng(1)
-    bits = rng.integers(0, 2, 47)
-    llr = modulate_bpsk(conv_encode(bits)) * 2.0 + 0.3 * rng.standard_normal(3 * 53)
-    assert np.array_equal(viterbi_decode(llr), viterbi_decode(llr * 7.25))
+    bits = rng.integers(0, 2, (4, 47))
+    llr = modulate_bpsk(conv_encode_rows(bits)) * 2.0 + 0.3 * rng.standard_normal((4, 3 * 53))
+    assert np.array_equal(viterbi_decode_batch(llr), viterbi_decode_batch(llr * 7.25))
 
 
 def test_single_flip_corrected():
@@ -60,49 +58,34 @@ def test_single_flip_corrected():
     bits = rng.integers(0, 2, 47)
     llr = modulate_bpsk(conv_encode(bits)) * 8.0
     llr[31] = -llr[31]
-    assert np.array_equal(viterbi_decode(llr), bits)
+    assert np.array_equal(viterbi_decode_batch(llr[None])[0], bits)
 
 
 def test_batch_matches_single():
+    # A row decodes to the same bits alone as inside a batch of noisy codewords.
     rng = np.random.default_rng(3)
-    blocks = []
-    for _ in range(8):
-        bits = rng.integers(0, 2, 30)
-        blocks.append(modulate_bpsk(conv_encode(bits)) + rng.standard_normal(108))
-    batch = np.stack(blocks)
-    dec_batch = viterbi_decode_batch(batch)
-    for row, llr in zip(dec_batch, blocks):
-        assert np.array_equal(row, viterbi_decode(llr))
+    bits = rng.integers(0, 2, (8, 30))
+    llrs = modulate_bpsk(conv_encode_rows(bits)) + rng.standard_normal((8, 108))
+    dec_batch = viterbi_decode_batch(llrs)
+    for i in range(len(llrs)):
+        assert np.array_equal(viterbi_decode_batch(llrs[i : i + 1])[0], dec_batch[i])
 
 
 def test_length_validation():
     with pytest.raises(ProtocolViolation):
-        viterbi_decode(np.ones(10))
+        viterbi_decode_batch(np.ones((2, 10)))
+    with pytest.raises(ProtocolViolation):
+        viterbi_decode_batch(np.ones(3 * (TAIL_BITS + 1)))
+    with pytest.raises(ProtocolViolation):
+        viterbi_decode_batch(np.ones((1, 3 * TAIL_BITS)))
     with pytest.raises(InputDomainError):
         conv_encode(np.array([0, 1, 2]))
     with pytest.raises(InputDomainError):
         conv_encode(np.zeros((2, 3), dtype=int))
 
 
-def test_chase_single_set_identity():
-    llr = np.array([0.5, -1.0, 2.0])
-    assert np.array_equal(chase_combine([llr]), llr)
-
-
-def test_chase_scaling_keeps_decisions():
-    rng = np.random.default_rng(4)
-    bits = rng.integers(0, 2, 40)
-    llr = modulate_bpsk(conv_encode(bits)) * 3.0
-    combined = chase_combine([llr] * 4)
-    assert np.allclose(combined, 4 * llr)
-    assert np.array_equal(viterbi_decode(combined), viterbi_decode(llr))
-
-
-def test_chase_empty_rejected():
-    with pytest.raises(ConfigError):
-        chase_combine([])
-    with pytest.raises(InputDomainError):
-        chase_combine([np.ones(3), np.ones(4)])
+def conv_encode_rows(bits):
+    return np.stack([conv_encode(row) for row in bits])
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +133,7 @@ def test_batch_matches_scalar_reference_on_ties(n_batch, k):
     rng = np.random.default_rng(n_batch)
     n = 3 * (k + TAIL_BITS)
     bits = rng.integers(0, 2, (n_batch, k))
-    noisy = np.stack([modulate_bpsk(conv_encode(row)) for row in bits])
+    noisy = modulate_bpsk(conv_encode_rows(bits))
     noisy += rng.standard_normal(noisy.shape)
     cases = [
         np.zeros((n_batch, n)),                    # every comparison is a tie

@@ -55,6 +55,20 @@ def test_neural_scheme_needs_checkpoint(tmp_path):
         )
 
 
+@pytest.mark.parametrize("scheme", ["harq-cc", "uncoded"])
+def test_uplink_trace_rejected_for_schemes_that_ignore_it(scheme, tmp_path, capsys):
+    trace = {"kind": "mean-reverting", "volatility": 5.0}
+    params = {"scheme": scheme, "snr_grid": [0.0], "max_trials": 10, "uplink_trace": trace}
+    with pytest.raises(ConfigError, match=r"params\.uplink_trace: only scheme 'neural' reads it"):
+        run_experiment(ExperimentConfig("per-sweep", params, 1, str(tmp_path / "run")))
+    assert list((tmp_path / "run").iterdir()) == []
+    code = main(["per-sweep", "--scheme", scheme, "--uplink-trace", json.dumps(trace),
+                 "--seed", "1", "--out", str(tmp_path / "cli")])
+    assert code == 2
+    assert "params.uplink_trace" in capsys.readouterr().err
+    assert list((tmp_path / "cli").iterdir()) == []
+
+
 def test_expand_grid():
     assert expand_grid([0.0, 10.0, 2.0], "g") == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
     assert expand_grid([1.5, 2.5], "g") == [1.5, 2.5]

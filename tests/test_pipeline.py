@@ -132,8 +132,8 @@ def test_jitter_single_long_stall():
     assert skip.time == nominal.time
 
 
-def test_jitter_callable_and_zero():
-    tl = simulate_timeline(P_REF, "async", inference_jitter=lambda rng, t: 0.0)
+def test_zero_jitter_and_first_round_stall():
+    tl = simulate_timeline(P_REF, "async", inference_jitter={t: 0.0 for t in range(9)})
     assert tl.total_latency == async_latency(P_REF)
     tl2 = simulate_timeline(
         P_REF, "sync", inference_jitter={0: 2.0}
