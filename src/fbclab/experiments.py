@@ -124,8 +124,7 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
         "max_trials": ParamSpec("int", 1_000_000, "trial cap per grid point"),
         "target_errors": ParamSpec("int", 100, "early-stop error count per point"),
         "batch_size": ParamSpec("int", 200, "trials per Monte-Carlo batch"),
-        "k": ParamSpec("int", 47, "info bits (uncoded scheme)"),
-        "harq_k": ParamSpec("int", 47, "info bits (harq-cc scheme)"),
+        "k": ParamSpec("int", 47, "info bits (harq-cc and uncoded schemes)"),
         "harq_max_attempts": ParamSpec("int", 3, "attempt budget"),
         "harq_use_crc16": ParamSpec("bool", False, "CRC-16 ack instead of genie ack"),
         "checkpoint": ParamSpec("string", None, "codec checkpoint (neural scheme)"),
@@ -134,10 +133,9 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
         "uplink_trace": ParamSpec(
             "dict",
             None,
-            "time-varying uplink, scheme neural only: {kind: mean-reverting|piecewise, ...};"
-            " the grid point sets the trace mean",
+            "uplink read at the round times, 1 ms apart: {kind: mean-reverting, reversion_rate,"
+            " volatility, start_db} (mean: the grid point) or {kind: piecewise, points}",
         ),
-        "round_period_ms": ParamSpec("number", 1.0, "per-round spacing along the trace"),
     },
     "train": {
         "model": ParamSpec("dict", None, "codec config overrides (see AfcConfig)"),
@@ -168,6 +166,19 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
 
 STOCHASTIC_KINDS = ("per-sweep", "train", "gradcheck")
 
+# The per-sweep keys each scheme reads beyond the common ones (scheme,
+# snr_grid, max_trials, target_errors, batch_size). A key read by another
+# scheme only is a ConfigError, so a run never ignores a setting silently.
+SCHEME_KEYS: dict[str, tuple[str, ...]] = {
+    "harq-cc": ("k", "harq_max_attempts", "harq_use_crc16"),
+    "uncoded": ("k",),
+    "neural": ("checkpoint", "noiseless_feedback", "feedback_snr_db", "uplink_trace"),
+}
+
+# `uplink_trace` kinds; each reads its dataclass's fields, the grid point
+# setting `mean_db`.
+TRACE_KINDS = {"mean-reverting": MeanRevertingTrace, "piecewise": PiecewiseTrace}
+
 # Where every module tunable surfaces in the schemas; "fixed:" entries are
 # derived quantities or deliberate constants. The completeness test walks this.
 TUNABLE_REGISTRY: dict[str, dict[str, str]] = {
@@ -179,7 +190,7 @@ TUNABLE_REGISTRY: dict[str, dict[str, str]] = {
         "min_forward": "latency.min_forward_ms",
     },
     "harq.HarqConfig": {
-        "k": "per-sweep.harq_k",
+        "k": "per-sweep.k",
         "max_attempts": "per-sweep.harq_max_attempts",
         "use_crc16": "per-sweep.harq_use_crc16",
     },
@@ -208,7 +219,6 @@ TUNABLE_REGISTRY: dict[str, dict[str, str]] = {
         "mean_db": "per-sweep.snr_grid",
         "reversion_rate": "per-sweep.uplink_trace",
         "volatility": "per-sweep.uplink_trace",
-        "step_ms": "per-sweep.uplink_trace",
         "start_db": "per-sweep.uplink_trace",
     },
 }
@@ -254,7 +264,21 @@ def validate_params(kind: str, params: dict) -> dict:
         out[key] = value
     if kind in ("train", "gradcheck", "complexity"):
         _check_fields("params.model", out.get("model"), AfcConfig)
+    if kind == "per-sweep":
+        scheme = out["scheme"]
+        if scheme not in SCHEME_KEYS:
+            raise ConfigError(f"params.scheme: unknown scheme {scheme!r}")
+        foreign = set().union(*SCHEME_KEYS.values()) - set(SCHEME_KEYS[scheme])
+        for key in params:  # the keys as given: defaults are not settings
+            if key in foreign:
+                raise ConfigError(f"params.{key}: scheme {scheme!r} does not read it")
+        if out["uplink_trace"] is not None:
+            _trace_kind(out["uplink_trace"])
     return out
+
+
+def _finite_number(value) -> bool:
+    return _TYPE_CHECKS["number"](value) and bool(np.isfinite(value))
 
 
 def _check_fields(path: str, overrides: dict | None, dc_type) -> None:
@@ -279,7 +303,7 @@ def expand_grid(spec, name: str) -> list[float]:
     """
     if not isinstance(spec, list) or not spec:
         raise ConfigError(f"params.{name}: expected a non-empty list")
-    if not all(_TYPE_CHECKS["number"](v) and np.isfinite(v) for v in spec):
+    if not all(_finite_number(v) for v in spec):
         raise ConfigError(f"params.{name}: every entry must be a finite number")
     values = [float(v) for v in spec]
     if len(values) == 3:
@@ -428,33 +452,51 @@ def _run_gradcheck(p: dict, seed, out: Path) -> list[str]:
     return ["gradcheck.json"]
 
 
-def _trace_kind(trace_params: dict):
-    """The `uplink_trace` parameter as a map from grid SNR to trace kind."""
-    kind_name = trace_params.get("kind", "mean-reverting")
-    if kind_name == "mean-reverting":
-        kwargs = {
-            k: trace_params[k]
-            for k in ("reversion_rate", "volatility", "step_ms", "start_db")
-            if k in trace_params
-        }
-        return lambda mean_db: MeanRevertingTrace(mean_db=mean_db, **kwargs)
-    if kind_name == "piecewise":
-        return lambda mean_db: PiecewiseTrace(points=[tuple(pt) for pt in trace_params["points"]])
-    raise ConfigError(f"params.uplink_trace.kind: unknown kind {kind_name!r}")
+def _trace_kind(trace: dict):
+    """The `uplink_trace` parameter as a map from grid SNR to trace kind.
+
+    A key the kind does not read, or a value that is not finite numbers, is
+    a ConfigError naming params.uplink_trace.<key>.
+    """
+    name = trace.get("kind", "mean-reverting")
+    if not isinstance(name, str) or name not in TRACE_KINDS:
+        raise ConfigError(f"params.uplink_trace.kind: unknown kind {name!r}")
+    cls = TRACE_KINDS[name]
+    fields = {f.name for f in dataclasses.fields(cls)} - {"mean_db"}
+    kwargs = {k: v for k, v in trace.items() if k != "kind"}
+    for key, value in kwargs.items():
+        if key not in fields:
+            raise ConfigError(f"params.uplink_trace.{key}: kind {name!r} does not read it")
+        if key != "points" and not _finite_number(value):
+            raise ConfigError(f"params.uplink_trace.{key}: expected a finite number, got {value!r}")
+    points = kwargs.get("points", [])
+    if not isinstance(points, list) or not all(
+        isinstance(pt, list) and len(pt) == 2 and all(map(_finite_number, pt)) for pt in points
+    ):
+        raise ConfigError(
+            "params.uplink_trace.points: expected a list of finite [time_ms, snr_db] pairs"
+        )
+
+    def build(mean_db):
+        if cls is PiecewiseTrace:
+            return PiecewiseTrace(points)
+        return MeanRevertingTrace(mean_db, **kwargs)
+
+    try:
+        build(0.0)  # the dataclass's own checks, reported with the key path
+    except ConfigError as exc:
+        raise ConfigError(f"params.uplink_trace.{exc}") from None
+    return build
 
 
 def _run_per_sweep(p: dict, seed: int, out: Path) -> list[str]:
     grid = expand_grid(p["snr_grid"], "snr_grid")
     scheme = p["scheme"]
-    if p["uplink_trace"] is not None and scheme in ("harq-cc", "uncoded"):
-        raise ConfigError("params.uplink_trace: only scheme 'neural' reads it")
     if scheme == "harq-cc":
-        trial = harq_trial_fn(
-            HarqConfig(p["harq_k"], p["harq_max_attempts"], p["harq_use_crc16"])
-        )
+        trial = harq_trial_fn(HarqConfig(p["k"], p["harq_max_attempts"], p["harq_use_crc16"]))
     elif scheme == "uncoded":
         trial = uncoded_bpsk_trial_fn(p["k"])
-    elif scheme == "neural":
+    else:
         if not p["checkpoint"]:
             raise ConfigError("params.checkpoint: required for scheme 'neural'")
         model = load_checkpoint(p["checkpoint"])
@@ -462,11 +504,8 @@ def _run_per_sweep(p: dict, seed: int, out: Path) -> list[str]:
             model,
             p["noiseless_feedback"],
             p["feedback_snr_db"],
-            _trace_kind(p["uplink_trace"]) if p["uplink_trace"] else None,
-            p["round_period_ms"],
+            _trace_kind(p["uplink_trace"]) if p["uplink_trace"] is not None else None,
         )
-    else:
-        raise ConfigError(f"params.scheme: unknown scheme {scheme!r}")
     points = measure_per(
         trial,
         grid,

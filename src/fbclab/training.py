@@ -18,7 +18,7 @@ from scipy.special import ndtr
 
 from . import autodiff as ad
 from .afc import AfcModel, forward_backward, logits_to_bits, session_graph
-from .channel import TraceKind, sample_traces, traces_at
+from .channel import TraceKind, sample_traces
 from .errors import ConfigError, NumericalFailure
 from .layers import Module
 from .per import PerPoint, measure_per
@@ -202,27 +202,24 @@ def neural_trial_fn(
     noiseless_feedback: bool = True,
     feedback_snr_db: float = 20.0,
     uplink_trace: Callable[[float], TraceKind] | None = None,
-    round_period_ms: float = 1.0,
 ):
     """Batched packet trials of the neural codec, for measure_per.
 
     Every round runs at the grid SNR unless uplink_trace is given: then each
-    session draws its own trace of kind uplink_trace(snr_db) and round t sees
-    the trace at t * round_period_ms. A trial of n sessions draws, in this
-    order: the n traces as one (n, points) batch (channel.sample_traces, the
-    same numbers as n single-trace draws), the (n, k) message bits, then the
-    session noise round by round. That order fixes seeded results.
+    session draws its own trace of kind uplink_trace(snr_db), read at the
+    round times 0, 1, ..., rounds - 1 ms. A trial of n sessions draws, in
+    this order: the n traces as one (n, rounds) batch (channel.sample_traces,
+    the same numbers as n single-trace draws), the (n, k) message bits, then
+    the session noise round by round. That order fixes seeded results.
     """
     c = model.config
-    duration = max(c.rounds * round_period_ms, round_period_ms)
-    round_ms = np.arange(c.rounds) * round_period_ms
+    round_ms = np.arange(c.rounds, dtype=float)
 
     def trial(snr_db: float, rng: np.random.Generator, n: int) -> np.ndarray:
         if uplink_trace is None:
             snrs = np.full(c.rounds, snr_db)
         else:
-            times, values = sample_traces(uplink_trace(snr_db), duration, rng, n)
-            snrs = traces_at(times, values, round_ms)
+            snrs = sample_traces(uplink_trace(snr_db), round_ms, rng, n)
         bits = rng.integers(0, 2, (n, c.k))
         with ad.no_grad():
             logits = session_graph(

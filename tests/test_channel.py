@@ -4,11 +4,11 @@ import pytest
 from fbclab import autodiff as ad
 from fbclab.afc import AfcConfig, AfcModel, session_graph
 from fbclab.channel import (
-    FixedTrace,
     MeanRevertingTrace,
     PiecewiseTrace,
     noise_sigma,
     sample_trace_kind,
+    sample_traces,
     trace_value_at,
 )
 from fbclab.errors import ConfigError, NumericalFailure
@@ -105,12 +105,6 @@ def test_nonfinite_input_rejected():
                   noiseless_feedback=True, feedback_snr_db=np.nan)
 
 
-def test_fixed_trace_constant():
-    trace = _trace(FixedTrace(0.0), 10.0)
-    assert len(trace) == 10
-    assert all(v == 0.0 for _, v in trace)
-
-
 def test_mean_reverting_monotone_drift():
     kind = MeanRevertingTrace(mean_db=0.0, reversion_rate=0.01, volatility=0.0, start_db=12.0)
     trace = _trace(kind, 500.0, seed=3)
@@ -128,9 +122,25 @@ def test_trace_seed_reproducibility_and_length():
     a = _trace(kind, 103.0, seed=11)
     b = _trace(kind, 103.0, seed=11)
     assert a == b
-    assert len(a) == int(np.ceil(103.0 / kind.step_ms))
+    assert len(a) == 103  # one read per ms
     c = _trace(kind, 103.0, seed=12)
     assert a != c
+
+
+def test_trace_steps_match_exact_transition_at_uneven_reads():
+    # A trace started at its mean has Var X(t) = s^2 (1 - e^{-2 r t}) / (2 r)
+    # and Cov(X(s), X(t)) = e^{-r (t - s)} Var X(s), so each step between reads
+    # has an exact variance whatever the spacing; interpolating a coarser
+    # grid would flatten the short steps.
+    kind = MeanRevertingTrace(mean_db=0.0, volatility=2.0)
+    times = np.array([0.0, 0.7, 5.0, 5.1, 40.0])
+    n = 20000
+    steps = np.diff(sample_traces(kind, times, np.random.default_rng(4), n), axis=1)
+    r, s2 = kind.reversion_rate, kind.volatility**2
+    var = s2 * (1.0 - np.exp(-2.0 * r * times)) / (2.0 * r)
+    exact = var[1:] + var[:-1] - 2.0 * np.exp(-r * np.diff(times)) * var[:-1]
+    standard_errors = exact * np.sqrt(2.0 / (n - 1))
+    assert np.all(np.abs(steps.var(axis=0, ddof=1) - exact) < 4 * standard_errors)
 
 
 def test_dispersion_calibration_100ms_window():

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbclab.afc import AfcConfig, AfcModel, save_checkpoint
 from fbclab.cli import main
-from fbclab.errors import ConfigError, NumericalFailure
+from fbclab.errors import ConfigError
 from fbclab.experiments import (
+    SCHEME_KEYS,
     SCHEMAS,
     TUNABLE_REGISTRY,
     ExperimentConfig,
@@ -59,14 +61,81 @@ def test_neural_scheme_needs_checkpoint(tmp_path):
 def test_uplink_trace_rejected_for_schemes_that_ignore_it(scheme, tmp_path, capsys):
     trace = {"kind": "mean-reverting", "volatility": 5.0}
     params = {"scheme": scheme, "snr_grid": [0.0], "max_trials": 10, "uplink_trace": trace}
-    with pytest.raises(ConfigError, match=r"params\.uplink_trace: only scheme 'neural' reads it"):
+    with pytest.raises(ConfigError, match=rf"params\.uplink_trace: scheme '{scheme}' does not read it"):
         run_experiment(ExperimentConfig("per-sweep", params, 1, str(tmp_path / "run")))
-    assert list((tmp_path / "run").iterdir()) == []
+    assert not (tmp_path / "run").exists()
     code = main(["per-sweep", "--scheme", scheme, "--uplink-trace", json.dumps(trace),
                  "--seed", "1", "--out", str(tmp_path / "cli")])
     assert code == 2
     assert "params.uplink_trace" in capsys.readouterr().err
-    assert list((tmp_path / "cli").iterdir()) == []
+    assert not (tmp_path / "cli").exists()
+
+
+@pytest.mark.parametrize(
+    "scheme,params,key",
+    [
+        ("harq-cc", {"checkpoint": "/nonexistent.ckpt"}, "checkpoint"),
+        ("harq-cc", {"noiseless_feedback": False, "feedback_snr_db": -50.0}, "noiseless_feedback"),
+        ("uncoded", {"harq_use_crc16": False}, "harq_use_crc16"),
+        ("uncoded", {"harq_max_attempts": 2}, "harq_max_attempts"),
+        ("neural", {"k": 30, "checkpoint": "/nonexistent.ckpt"}, "k"),
+    ],
+)
+def test_foreign_per_sweep_key_rejected(scheme, params, key, tmp_path, capsys):
+    # Checked against the keys as given: a key the scheme does not read
+    # fails the run before any file, even at its default value.
+    params = {"scheme": scheme, "snr_grid": [0.0], "max_trials": 10, **params}
+    with pytest.raises(ConfigError, match=rf"params\.{key}: scheme '{scheme}' does not read it"):
+        run_experiment(ExperimentConfig("per-sweep", params, 1, str(tmp_path / "run")))
+    assert not (tmp_path / "run").exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params}))
+    code = main(["per-sweep", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "cli")])
+    assert code == 2
+    assert f"params.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
+
+
+def test_both_baseline_schemes_read_k(tmp_path):
+    def per_csv(scheme, **params):
+        out = tmp_path / f"{scheme}-{params.get('k')}"
+        params = {"scheme": scheme, "snr_grid": [-6.0, 6.0], "max_trials": 200, **params}
+        run_experiment(ExperimentConfig("per-sweep", params, 1, str(out)))
+        return (out / "per.csv").read_bytes()
+
+    for scheme in ("harq-cc", "uncoded"):
+        assert per_csv(scheme, k=47) == per_csv(scheme)
+        assert per_csv(scheme, k=30) != per_csv(scheme)
+    assert per_csv("harq-cc", k=30) != per_csv("uncoded", k=30)
+
+
+@pytest.mark.parametrize(
+    "trace,key",
+    [
+        ({"kind": "mean-reverting", "volatilty": 50}, "volatilty"),
+        ({"kind": "mean-reverting", "step_ms": 1.0}, "step_ms"),
+        ({"kind": "piecewise"}, "points"),
+        ({"kind": "piecewise", "points": [[0.0, 1.0, 2.0]]}, "points"),
+        ({"kind": "piecewise", "points": [[1.0, 2.0], [0.0, 3.0]]}, "points"),
+        ({"kind": "piecewise", "points": [[0.0, 1.0]], "volatility": 1.0}, "volatility"),
+        ({"volatility": "5"}, "volatility"),
+        ({"volatility": float("inf")}, "volatility"),
+        ({"reversion_rate": -0.1}, "reversion_rate"),
+        ({"start_db": None}, "start_db"),
+        ({"kind": "fading"}, "kind"),
+        ({"mean_db": 3.0}, "mean_db"),
+    ],
+)
+def test_malformed_uplink_trace_rejected(trace, key, tmp_path, capsys):
+    params = {"scheme": "neural", "checkpoint": "/nonexistent.ckpt", "uplink_trace": trace}
+    with pytest.raises(ConfigError, match=rf"params\.uplink_trace\.{key}: "):
+        run_experiment(ExperimentConfig("per-sweep", params, 1, str(tmp_path / "run")))
+    assert not (tmp_path / "run").exists()
+    code = main(["per-sweep", "--scheme", "neural", "--checkpoint", "/nonexistent.ckpt",
+                 "--uplink-trace", json.dumps(trace), "--seed", "1", "--out", str(tmp_path / "cli")])
+    assert code == 2
+    assert f"params.uplink_trace.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
 
 
 def test_expand_grid():
@@ -334,7 +403,7 @@ def test_neural_per_sweep_with_trace(tmp_path):
     assert rows[0]["trials"] == 128
     # A trace point that is not a number fails the run before any result file.
     nan_trace = {"kind": "piecewise", "points": [[0.0, 20.0], [1.0, float("nan")]]}
-    with pytest.raises(NumericalFailure):
+    with pytest.raises(ConfigError, match=r"params\.uplink_trace\.points"):
         run_experiment(
             ExperimentConfig(
                 "per-sweep",
@@ -344,7 +413,24 @@ def test_neural_per_sweep_with_trace(tmp_path):
                 str(tmp_path / "nan"),
             )
         )
-    assert list((tmp_path / "nan").iterdir()) == []
+    assert not (tmp_path / "nan").exists()
+
+
+def test_empty_uplink_trace_is_the_default_trace(tmp_path):
+    # `kind` defaults to mean-reverting and every field to its default, so
+    # {} is that trace, not the absence of one.
+    model = AfcModel(AfcConfig.tiny(block_size=1, num_blocks=2), seed=8)
+    save_checkpoint(model, tmp_path / "m.ckpt")
+
+    def per_csv(name, **trace):
+        params = {"scheme": "neural", "checkpoint": str(tmp_path / "m.ckpt"), "snr_grid": [0.0],
+                  "max_trials": 400, "target_errors": 401, **trace}
+        run_experiment(ExperimentConfig("per-sweep", params, 3, str(tmp_path / name)))
+        return (tmp_path / name / "per.csv").read_bytes()
+
+    empty = per_csv("empty", uplink_trace={})
+    assert empty == per_csv("default", uplink_trace={"kind": "mean-reverting"})
+    assert empty != per_csv("none")
 
 
 def test_every_schema_key_is_documented():
@@ -367,6 +453,15 @@ def test_every_subcommand_has_a_schema():
         "per-sweep",
         "train",
     }
+
+
+def test_every_per_sweep_key_is_common_or_read_by_a_scheme():
+    # A new per-sweep key must name the schemes that read it, or the
+    # foreign-key check would let the others ignore it silently.
+    common = {"scheme", "snr_grid", "max_trials", "target_errors", "batch_size"}
+    read = set().union(*SCHEME_KEYS.values())
+    assert not common & read
+    assert set(SCHEMAS["per-sweep"]) == common | read
 
 
 def test_tunable_registry_covers_dataclasses():

@@ -7,13 +7,7 @@ from scipy.stats import kstest, norm
 
 from fbclab import autodiff as ad
 from fbclab.afc import AfcConfig, AfcModel, logits_to_bits, save_checkpoint, session_graph
-from fbclab.channel import (
-    FixedTrace,
-    MeanRevertingTrace,
-    PiecewiseTrace,
-    sample_traces,
-    traces_at,
-)
+from fbclab.channel import MeanRevertingTrace, PiecewiseTrace, sample_traces
 from fbclab.errors import ConfigError, NumericalFailure
 from fbclab.experiments import ExperimentConfig, run_experiment
 from fbclab.training import (
@@ -248,91 +242,72 @@ def test_config_validation():
         ExponentialDecay(0.0)
 
 
-# The per-session trace loop neural_trial_fn ran before traces were drawn as
-# one batch: one sampled trace per session, then np.interp at each round time.
-def _reference_trace(kind, duration_ms, rng):
-    n = int(np.ceil(duration_ms / kind.step_ms))
-    times = np.arange(n) * kind.step_ms
-    if isinstance(kind, FixedTrace):
-        values = np.full(n, float(kind.level_db))
-    elif isinstance(kind, PiecewiseTrace):
+# The per-session reference for channel.sample_traces: one trace at a time,
+# one scalar transition per interval between reads.
+def _reference_trace(kind, times_ms, rng):
+    if isinstance(kind, PiecewiseTrace):
         ts = np.array([t for t, _ in kind.points])
         vs = np.array([v for _, v in kind.points])
-        values = np.interp(times, ts, vs)
-    else:
-        theta, sigma, dt = kind.reversion_rate, kind.volatility, kind.step_ms
-        decay = np.exp(-theta * dt)
-        if theta > 0:
-            step_sd = sigma * np.sqrt((1.0 - np.exp(-2.0 * theta * dt)) / (2.0 * theta))
-        else:
-            step_sd = sigma * np.sqrt(dt)
-        x = kind.mean_db if kind.start_db is None else kind.start_db
-        values = np.empty(n)
-        noise = step_sd * rng.standard_normal(n)
-        for i in range(n):
-            values[i] = x
-            x = x * decay + kind.mean_db * (1.0 - decay) + noise[i]
-    return list(zip(times.tolist(), values.tolist()))
+        return np.interp(times_ms, ts, vs)
+    theta, sigma = kind.reversion_rate, kind.volatility
+    x = kind.mean_db if kind.start_db is None else kind.start_db
+    values = np.empty(len(times_ms))
+    noise = rng.standard_normal(len(times_ms))
+    for i, t in enumerate(times_ms):
+        values[i] = x
+        if i + 1 < len(times_ms):
+            dt = times_ms[i + 1] - t
+            decay = np.exp(-theta * dt)
+            if theta > 0:
+                step_sd = sigma * np.sqrt((1.0 - np.exp(-2.0 * theta * dt)) / (2.0 * theta))
+            else:
+                step_sd = sigma * np.sqrt(dt)
+            x = x * decay + kind.mean_db * (1.0 - decay) + step_sd * noise[i]
+    return values
 
 
-def _reference_value_at(trace, time_ms):
-    ts = np.array([t for t, _ in trace])
-    vs = np.array([v for _, v in trace])
-    return float(np.interp(time_ms, ts, vs))
-
-
-def _reference_snrs(kind, rounds, round_period_ms, rng, n):
-    duration = max(rounds * round_period_ms, round_period_ms)
-    snrs = np.empty((n, rounds))
-    for i in range(n):
-        trace = _reference_trace(kind, duration, rng)
-        snrs[i] = [_reference_value_at(trace, t * round_period_ms) for t in range(rounds)]
-    return snrs
+def _reference_snrs(kind, times_ms, rng, n):
+    return np.array([_reference_trace(kind, times_ms, rng) for _ in range(n)])
 
 
 TRACE_KINDS = [
-    pytest.param(FixedTrace(3.0), id="fixed"),
-    pytest.param(FixedTrace(-0.0), id="fixed-negative-zero"),
     pytest.param(PiecewiseTrace([(0.0, -2.0), (2.5, 4.0), (4.0, 1.0)]), id="piecewise"),
-    pytest.param(PiecewiseTrace([(1.0, 5.0)], step_ms=0.3), id="piecewise-one-point"),
+    pytest.param(PiecewiseTrace([(1.0, 5.0)]), id="piecewise-one-point"),
     pytest.param(MeanRevertingTrace(1.0, volatility=0.9), id="mean-reverting"),
     pytest.param(MeanRevertingTrace(1.0, volatility=0.9, start_db=-4.0), id="start-db"),
     pytest.param(MeanRevertingTrace(2.0, reversion_rate=0.0, volatility=0.4), id="no-reversion"),
     pytest.param(MeanRevertingTrace(2.0, volatility=0.0, start_db=9.0), id="no-volatility"),
-    pytest.param(MeanRevertingTrace(-1.0, reversion_rate=0.3, step_ms=0.45), id="fine-grid"),
-    pytest.param(MeanRevertingTrace(0.5, step_ms=8.0), id="one-point-grid"),
+    pytest.param(MeanRevertingTrace(-1.0, reversion_rate=0.3), id="fast-reversion"),
 ]
 
 
-@pytest.mark.parametrize("round_period_ms", [1.0, 0.7])
+@pytest.mark.parametrize("spacing_ms", [1.0, 0.7])
 @pytest.mark.parametrize("kind", TRACE_KINDS)
-def test_batched_traces_match_per_session_reference(kind, round_period_ms):
+def test_batched_traces_match_per_session_reference(kind, spacing_ms):
     rounds, n = TINY.rounds, 37
+    times = np.arange(rounds) * spacing_ms
     ref_rng, rng = np.random.default_rng(21), np.random.default_rng(21)
-    expected = _reference_snrs(kind, rounds, round_period_ms, ref_rng, n)
-    duration = max(rounds * round_period_ms, round_period_ms)
-    times, values = sample_traces(kind, duration, rng, n)
-    snrs = traces_at(times, values, np.arange(rounds) * round_period_ms)
+    expected = _reference_snrs(kind, times.tolist(), ref_rng, n)
+    snrs = sample_traces(kind, times, rng, n)
     assert snrs.shape == (n, rounds)
     assert np.array_equal(snrs.view(np.uint64), expected.view(np.uint64))
     assert rng.random() == ref_rng.random()
 
 
-@pytest.mark.parametrize("round_period_ms", [1.0, 0.7])
-def test_neural_trial_matches_per_session_reference(round_period_ms):
+def test_neural_trial_matches_per_session_reference():
     # Two one-bit blocks, so that even an untrained codec gets both outcomes.
     config = AfcConfig.tiny(block_size=1, num_blocks=2)
     model = AfcModel(config, seed=8)
     kind = MeanRevertingTrace(4.0, volatility=2.0, start_db=-2.0)
     ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
     n = 300
-    snrs = _reference_snrs(kind, config.rounds, round_period_ms, ref_rng, n)
+    snrs = _reference_snrs(kind, [float(t) for t in range(config.rounds)], ref_rng, n)
     bits = ref_rng.integers(0, 2, (n, config.k))
     with ad.no_grad():
         logits = session_graph(model, bits, snrs, ref_rng)
     expected = np.all(logits_to_bits(logits.data) == bits, axis=1)
 
-    trial = neural_trial_fn(model, uplink_trace=lambda snr_db: kind, round_period_ms=round_period_ms)
+    trial = neural_trial_fn(model, uplink_trace=lambda snr_db: kind)
     got = trial(4.0, rng, n)
     assert 0 < expected.sum() < n
     assert np.array_equal(got, expected)
