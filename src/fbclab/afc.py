@@ -202,8 +202,8 @@ class AfcModel(Module):
             raise ProtocolViolation(
                 f"feedback for round {t} needs receptions 0..{t}, got {len(received)}"
             )
-        q = self._features(None, received + [None] * (c.rounds - len(received)), emb)
-        x = self.fb_stack(self.fb_embed(q))
+        slots = received + [None] * (c.rounds - len(received))
+        x = self.fb_stack(self.fb_embed(self._features(None, slots, emb)))
         fb = self.fb_head(x).reshape(received[0].shape[0], c.num_blocks)
         return power_normalize(fb)
 

@@ -50,24 +50,36 @@ results agree with the unfused formulas to rounding, not bit for bit.
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import ndtr
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Whether ops record tape nodes, held per thread; on in every new thread."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference mode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable tape recording inside the block (inference mode).
+
+    The switch is per thread: the block turns recording off for the thread
+    that enters it and for no other, so threads that enter and leave their
+    own blocks in any interleaving leave every other thread recording.
+    """
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 def _sum_last(x: np.ndarray) -> np.ndarray:
@@ -280,7 +292,7 @@ class Tensor:
 def _make(data: np.ndarray, parents) -> Tensor:
     """A Tensor over data whose node keeps the rules of the operands that need one."""
     out = Tensor(data)
-    if _grad_enabled:
+    if _grad_mode.enabled:
         kept = tuple((p._node, fn) for p, fn in parents if p._node is not None)
         if kept:
             out._node = _Node(kept)
@@ -358,10 +370,17 @@ def sqrt(t: Tensor) -> Tensor:
 
 
 def gelu(t: Tensor) -> Tensor:
-    """Gaussian-error linear unit, exact form x * Phi(x)."""
+    """Gaussian-error linear unit, exact form x * Phi(x).
+
+    When nothing records (no_grad, or t needs no gradient) no rule reads the
+    CDF, so the output is written into its buffer: one (shape of x) array
+    fewer at the peak of inference.
+    """
     t = as_tensor(t)
     x = t.data
     cdf = ndtr(x)
+    if t._node is None or not _grad_mode.enabled:
+        return Tensor(np.multiply(x, cdf, out=cdf))
 
     def grad_fn(g):
         # g * (cdf + x * pdf) with pdf = exp(-x^2 / 2) / sqrt(2 pi), in one

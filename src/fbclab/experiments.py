@@ -37,7 +37,7 @@ from .channel import MeanRevertingTrace, PiecewiseTrace
 from .errors import ConfigError, NumericalFailure
 from .gradcheck import run_gradient_checks
 from .harq import HarqConfig, harq_trial_fn, uncoded_bpsk_trial_fn
-from .per import measure_per, write_per_csv
+from .per import measure_per, usable_cpus, write_per_csv
 from .pipeline import (
     TimingParams,
     async_delta_prime,
@@ -247,7 +247,11 @@ _TYPE_CHECKS = {
 
 
 def validate_params(kind: str, params: dict) -> dict:
-    """Fill defaults and type-check; ConfigError messages carry key paths."""
+    """Fill defaults and type-check; ConfigError messages carry key paths.
+
+    A per-sweep keeps only the common keys and its scheme's, so the manifest
+    and the config hash state only settings the run reads.
+    """
     if kind not in SCHEMAS:
         raise ConfigError(f"kind: unknown experiment kind {kind!r}")
     schema = SCHEMAS[kind]
@@ -272,7 +276,8 @@ def validate_params(kind: str, params: dict) -> dict:
         for key in params:  # the keys as given: defaults are not settings
             if key in foreign:
                 raise ConfigError(f"params.{key}: scheme {scheme!r} does not read it")
-        if out["uplink_trace"] is not None:
+        out = {key: value for key, value in out.items() if key not in foreign}
+        if out.get("uplink_trace") is not None:
             _trace_kind(out["uplink_trace"])
     return out
 
@@ -513,6 +518,10 @@ def _run_per_sweep(p: dict, seed: int, out: Path) -> list[str]:
         target_errors=p["target_errors"],
         seed=seed,
         batch_size=p["batch_size"],
+        # Codec points spend their time in BLAS and numpy calls long enough
+        # to release the interpreter lock, so they run one per CPU; the
+        # Viterbi's steps are too short for threads to pay.
+        threads=usable_cpus() if scheme == "neural" else 1,
     )
     write_per_csv(points, out / "per.csv")
     return ["per.csv"]

@@ -9,6 +9,8 @@ binomial.
 from __future__ import annotations
 
 import csv
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -45,11 +47,18 @@ def measure_per(
     target_errors: int = 100,
     seed: int = 0,
     batch_size: int = 200,
+    threads: int = 1,
 ) -> list[PerPoint]:
     """Estimate PER on an SNR grid with per-point early stopping.
 
     Each grid point gets an independent child RNG stream derived from the
-    seed, so results do not depend on evaluation order.
+    seed, so its result does not depend on which other points run, in which
+    order, or on which thread. Up to `threads` points run at once, each on
+    one pool thread with its own stream; the trial function must then be
+    safe to call from several threads. The points come back in grid order,
+    and the same for any thread count. If points fail, the exception of the
+    earliest failing point in grid order is raised, after the running points
+    finish and the queued ones are cancelled.
     """
     if len(snr_grid) == 0:
         raise ConfigError("snr_grid must not be empty")
@@ -57,10 +66,10 @@ def measure_per(
         raise ConfigError("max_trials must be at least 100")
     if target_errors < 1:
         raise ConfigError("target_errors must be at least 1")
+    if threads < 1:
+        raise ConfigError("threads must be at least 1")
 
-    seeds = np.random.SeedSequence(seed).spawn(len(snr_grid))
-    points = []
-    for snr_db, child in zip(snr_grid, seeds):
+    def point(snr_db: float, child: np.random.SeedSequence) -> PerPoint:
         rng = np.random.default_rng(child)
         trials = errors = 0
         while trials < max_trials and errors < target_errors:
@@ -69,10 +78,25 @@ def measure_per(
             trials += ok.size
             errors += int(np.count_nonzero(~ok))
         lo, hi = binomial_ci(errors, trials)
-        points.append(
-            PerPoint(float(snr_db), errors / trials, lo, hi, trials, errors)
-        )
-    return points
+        return PerPoint(float(snr_db), errors / trials, lo, hi, trials, errors)
+
+    seeds = np.random.SeedSequence(seed).spawn(len(snr_grid))
+    workers = min(len(snr_grid), threads)
+    if workers == 1:
+        return list(map(point, snr_grid, seeds))
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="per")
+    try:
+        return list(pool.map(point, snr_grid, seeds))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has
+    one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def write_per_csv(points: list[PerPoint], path) -> None:

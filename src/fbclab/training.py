@@ -21,7 +21,7 @@ from .afc import AfcModel, forward_backward, logits_to_bits, session_graph
 from .channel import TraceKind, sample_traces
 from .errors import ConfigError, NumericalFailure
 from .layers import Module
-from .per import PerPoint, measure_per
+from .per import PerPoint, measure_per, usable_cpus
 from .results import emit_results
 
 HISTORY_CSV_HEADER = ["step", "loss", "alpha", "mean_snr_db"]
@@ -210,7 +210,9 @@ def neural_trial_fn(
     round times 0, 1, ..., rounds - 1 ms. A trial of n sessions draws, in
     this order: the n traces as one (n, rounds) batch (channel.sample_traces,
     the same numbers as n single-trace draws), the (n, k) message bits, then
-    the session noise round by round. That order fixes seeded results.
+    the session noise round by round. That order fixes seeded results. A
+    trial only reads the model, and records no tape (no_grad is per thread),
+    so several threads may run trials at once.
     """
     c = model.config
     round_ms = np.arange(c.rounds, dtype=float)
@@ -244,7 +246,8 @@ def evaluate_robustness(
     noiseless_feedback: bool = True,
     feedback_snr_db: float = 20.0,
 ) -> list[PerPoint]:
-    """PER with confidence intervals across an SNR grid."""
+    """PER with confidence intervals across an SNR grid, one grid point per
+    usable CPU at a time."""
     return measure_per(
         neural_trial_fn(model, noiseless_feedback, feedback_snr_db),
         snr_grid,
@@ -252,4 +255,5 @@ def evaluate_robustness(
         target_errors=target_errors,
         seed=seed,
         batch_size=256,
+        threads=usable_cpus(),
     )

@@ -1,4 +1,5 @@
 import gc
+import threading
 import tracemalloc
 import weakref
 
@@ -215,6 +216,40 @@ def test_no_grad_suppresses_graph():
     assert not out._node
     out2 = (w * 2.0).sum()
     assert out2._node
+
+
+def test_no_grad_is_per_thread():
+    # A enters, B enters, A leaves, B leaves. With one process-wide switch, B
+    # would see recording back on after A left and, on leaving, restore the
+    # "off" it found on entry, for every thread.
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    w = Tensor(np.ones(3), requires_grad=True)
+    recorded = {}
+
+    def a():
+        with ad.no_grad():
+            a_in.set()
+            b_in.wait(10)
+            recorded["a"] = (w * 2.0).requires_grad
+        a_out.set()
+
+    def b():
+        a_in.wait(10)
+        with ad.no_grad():
+            b_in.set()
+            a_out.wait(10)
+            recorded["b"] = (w * 2.0).requires_grad
+
+    threads = [threading.Thread(target=f) for f in (a, b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(20)
+    assert not any(t.is_alive() for t in threads)
+    assert recorded == {"a": False, "b": False}
+    out = (w * 2.0).sum()
+    out.backward()
+    np.testing.assert_array_equal(w.grad, np.full(3, 2.0))
 
 
 def test_backward_requires_scalar():

@@ -109,6 +109,21 @@ def test_both_baseline_schemes_read_k(tmp_path):
     assert per_csv("harq-cc", k=30) != per_csv("uncoded", k=30)
 
 
+def test_per_sweep_manifest_holds_only_the_keys_its_scheme_reads(tmp_path):
+    save_checkpoint(AfcModel(AfcConfig.tiny(block_size=1, num_blocks=2), seed=8), tmp_path / "m.ckpt")
+    common = {"scheme", "snr_grid", "max_trials", "target_errors", "batch_size"}
+    recorded = {}
+    for scheme in SCHEME_KEYS:
+        params = {"scheme": scheme, "snr_grid": [0.0], "max_trials": 100}
+        if scheme == "neural":
+            params["checkpoint"] = str(tmp_path / "m.ckpt")
+        run_experiment(ExperimentConfig("per-sweep", params, 1, str(tmp_path / scheme)))
+        recorded[scheme] = json.loads((tmp_path / scheme / "manifest.json").read_text())["params"]
+        assert set(recorded[scheme]) == common | set(SCHEME_KEYS[scheme])
+    assert not {"k", "harq_max_attempts", "harq_use_crc16"} & set(recorded["neural"])
+    assert not {"checkpoint", "uplink_trace"} & set(recorded["harq-cc"])
+
+
 @pytest.mark.parametrize(
     "trace,key",
     [

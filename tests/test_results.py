@@ -165,6 +165,26 @@ def test_import_guard_sees_each_kind_of_import():
     assert list(_unused_imports(ast.parse(code))) == [(4, "d"), (5, "h"), (6, "i"), (8, "j")]
 
 
+def _global_statements(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            yield node.lineno, ", ".join(node.names)
+
+
+def test_no_global_statement():
+    # Library code runs on pool threads (PER grid points), so state that
+    # code rebinds process-wide is shared by every thread and every caller:
+    # keep it in objects the caller owns, or per thread.
+    found = [
+        f"{path.name}:{line}: global {names}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, names in _global_statements(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    sample = ast.parse("x = 1\ndef f():\n    def g():\n        global x, y\n        x = 2\n")
+    assert list(_global_statements(sample)) == [(4, "x, y")]
+
+
 def _definitions(tree: ast.AST):
     """(line, name) of every module-level function and class, and of every
     method and property of a module-level class; dunders are called
