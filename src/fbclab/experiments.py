@@ -75,11 +75,10 @@ class ParamSpec:
 
 def _timing_keys() -> dict[str, ParamSpec]:
     return {
-        "delta_ms": ParamSpec("number", 10.0, "forward interval (encode + transmit)"),
+        "delta_ms": ParamSpec(
+            "number", 10.0, "forward interval: encode, then transmit for min(delta_ms, min_forward_ms)"
+        ),
         "delta_tilde_ms": ParamSpec("number", 4.0, "feedback interval"),
-        "tau_enc_ms": ParamSpec("number", None, "encode time; overrides the delta split"),
-        "tau_tx_ms": ParamSpec("number", None, "transmit time; overrides the delta split"),
-        "tau_fb_ms": ParamSpec("number", None, "feedback time; overrides delta_tilde_ms"),
         "rounds": ParamSpec("int", 9, "rounds per session"),
         "min_forward_ms": ParamSpec("number", 1.0, "minimum forward air time"),
     }
@@ -88,9 +87,10 @@ def _timing_keys() -> dict[str, ParamSpec]:
 SCHEMAS: dict[str, dict[str, ParamSpec]] = {
     "latency": _timing_keys(),
     "latency-sweep": {
-        **_timing_keys(),
         "deltas": ParamSpec("list", [1.0, 30.0, 1.0], "forward sweep [start, stop, step] or explicit list"),
         "delta_tildes": ParamSpec("list", [4.0], "feedback sweep [start, stop, step] or explicit list"),
+        # the two grids stand for delta_ms and delta_tilde_ms
+        **{key: _timing_keys()[key] for key in ("rounds", "min_forward_ms")},
     },
     "timeline": {
         **_timing_keys(),
@@ -111,7 +111,6 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
     },
     "complexity": {
         "model": ParamSpec("dict", None, "overrides applied to both codec variants"),
-        "fpga": ParamSpec("bool", True, "also emit the FPGA throughput table"),
     },
     "gradcheck": {
         "model": ParamSpec("dict", None, "overrides for the tiny check model"),
@@ -175,6 +174,12 @@ SCHEME_KEYS: dict[str, tuple[str, ...]] = {
     "neural": ("checkpoint", "noiseless_feedback", "feedback_snr_db", "uplink_trace"),
 }
 
+# The train keys each `alpha_schedule` reads, checked like SCHEME_KEYS.
+SCHEDULE_KEYS: dict[str, tuple[str, ...]] = {
+    "linear": ("alpha_start", "alpha_end"),
+    "exponential": ("alpha_rate",),
+}
+
 # `uplink_trace` kinds; each reads its dataclass's fields, the grid point
 # setting `mean_db`.
 TRACE_KINDS = {"mean-reverting": MeanRevertingTrace, "piecewise": PiecewiseTrace}
@@ -183,9 +188,8 @@ TRACE_KINDS = {"mean-reverting": MeanRevertingTrace, "piecewise": PiecewiseTrace
 # derived quantities or deliberate constants. The completeness test walks this.
 TUNABLE_REGISTRY: dict[str, dict[str, str]] = {
     "pipeline.TimingParams": {
-        "tau_enc": "latency.tau_enc_ms",
-        "tau_tx": "latency.tau_tx_ms",
-        "tau_fb": "latency.tau_fb_ms",
+        "delta": "latency.delta_ms",
+        "delta_tilde": "latency.delta_tilde_ms",
         "rounds": "latency.rounds",
         "min_forward": "latency.min_forward_ms",
     },
@@ -249,8 +253,9 @@ _TYPE_CHECKS = {
 def validate_params(kind: str, params: dict) -> dict:
     """Fill defaults and type-check; ConfigError messages carry key paths.
 
-    A per-sweep keeps only the common keys and its scheme's, so the manifest
-    and the config hash state only settings the run reads.
+    A key only another per-sweep scheme or train `alpha_schedule` reads is
+    a ConfigError. A per-sweep keeps only the common keys and its scheme's,
+    so the manifest and the config hash state only settings the run reads.
     """
     if kind not in SCHEMAS:
         raise ConfigError(f"kind: unknown experiment kind {kind!r}")
@@ -268,18 +273,26 @@ def validate_params(kind: str, params: dict) -> dict:
         out[key] = value
     if kind in ("train", "gradcheck", "complexity"):
         _check_fields("params.model", out.get("model"), AfcConfig)
+    if kind == "train":
+        _foreign_keys("alpha_schedule", SCHEDULE_KEYS, params, out)
     if kind == "per-sweep":
-        scheme = out["scheme"]
-        if scheme not in SCHEME_KEYS:
-            raise ConfigError(f"params.scheme: unknown scheme {scheme!r}")
-        foreign = set().union(*SCHEME_KEYS.values()) - set(SCHEME_KEYS[scheme])
-        for key in params:  # the keys as given: defaults are not settings
-            if key in foreign:
-                raise ConfigError(f"params.{key}: scheme {scheme!r} does not read it")
+        foreign = _foreign_keys("scheme", SCHEME_KEYS, params, out)
         out = {key: value for key, value in out.items() if key not in foreign}
         if out.get("uplink_trace") is not None:
             _trace_kind(out["uplink_trace"])
     return out
+
+
+def _foreign_keys(selector: str, keys_by_choice: dict, params: dict, out: dict) -> set[str]:
+    """The keys only choices other than `out[selector]` read; giving one is a ConfigError."""
+    choice = out[selector]
+    if choice not in keys_by_choice:
+        raise ConfigError(f"params.{selector}: unknown {selector} {choice!r}")
+    foreign = set().union(*keys_by_choice.values()) - set(keys_by_choice[choice])
+    for key in params:  # the keys as given: defaults are not settings
+        if key in foreign:
+            raise ConfigError(f"params.{key}: {selector} {choice!r} does not read it")
+    return foreign
 
 
 def _finite_number(value) -> bool:
@@ -336,14 +349,7 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def _timing_from_params(p: dict) -> TimingParams:
-    taus = [p.get("tau_enc_ms"), p.get("tau_tx_ms"), p.get("tau_fb_ms")]
-    if all(v is not None for v in taus):
-        return TimingParams(taus[0], taus[1], taus[2], p["rounds"], p["min_forward_ms"])
-    if any(v is not None for v in taus):
-        raise ConfigError("params.tau_enc_ms: give all three tau_* keys or none")
-    return TimingParams.from_deltas(
-        p["delta_ms"], p["delta_tilde_ms"], p["rounds"], p["min_forward_ms"]
-    )
+    return TimingParams(p["delta_ms"], p["delta_tilde_ms"], p["rounds"], p["min_forward_ms"])
 
 
 def _run_latency(p: dict, seed, out: Path) -> list[str]:
@@ -442,11 +448,8 @@ def _run_complexity(p: dict, seed, out: Path) -> list[str]:
         ),
     }
     write_json(out / "complexity.json", payload)
-    outputs = ["complexity.json"]
-    if p["fpga"]:
-        fpga_report_csv(fpga_report(light["flops_per_session"]), out / "fpga.csv")
-        outputs.append("fpga.csv")
-    return outputs
+    fpga_report_csv(fpga_report(light["flops_per_session"]), out / "fpga.csv")
+    return ["complexity.json", "fpga.csv"]
 
 
 def _run_gradcheck(p: dict, seed, out: Path) -> list[str]:
@@ -531,12 +534,8 @@ def _run_train(p: dict, seed: int, out: Path) -> list[str]:
     model = AfcModel(AfcConfig(**(p["model"] or {})), seed=seed)
     if p["alpha_schedule"] == "linear":
         schedule = LinearDecay(p["alpha_start"], p["alpha_end"])
-    elif p["alpha_schedule"] == "exponential":
-        schedule = ExponentialDecay(p["alpha_rate"])
     else:
-        raise ConfigError(
-            f"params.alpha_schedule: expected linear or exponential, got {p['alpha_schedule']!r}"
-        )
+        schedule = ExponentialDecay(p["alpha_rate"])
     curriculum = CurriculumConfig(
         GaussianAnchor(p["orig_mean_db"], p["orig_std_db"]),
         GaussianAnchor(p["targ_mean_db"], p["targ_std_db"]),

@@ -1,12 +1,14 @@
 """Closed-form latency model and event timeline simulator.
 
-A session of T rounds alternates forward transmissions and feedback packets.
-Synchronous coding serializes them: encode(t+1) waits for feedback(t), so the
-total is T*delta + (T-1)*delta_tilde with delta = tau_enc + tau_tx and
-delta_tilde = tau_fb. Pipelined (asynchronous) coding lets encode(t) begin
-when feedback(t-2) lands, squeezing each forward burst into the gap
-delta_prime = max((delta - delta_tilde)/2, min_forward) between consecutive
-feedback packets; the total becomes delta + (T-1)*delta_tilde + T*delta_prime.
+A session of T rounds alternates forward intervals of delta ms (encoding,
+then min(delta, min_forward) ms on the air) and feedback packets of
+delta_tilde ms. Synchronous coding serializes them: encode(t+1) waits for
+feedback(t), so the total is T*delta + (T-1)*delta_tilde. Pipelined
+(asynchronous) coding lets encode(t) begin when feedback(t-2) lands, squeezing
+each forward burst into the gap delta_prime = max((delta - delta_tilde)/2,
+min_forward) between consecutive feedback packets; the total becomes
+delta + (T-1)*delta_tilde + T*delta_prime. Only the event times, not the
+totals, depend on how delta splits into encoding and air time.
 
 The simulator builds the granted slot schedule for the chosen mode and runs
 encode jobs against it. With zero jitter every job meets its slot and the
@@ -40,38 +42,31 @@ SWEEP_CSV_HEADER = ["delta_ms", "delta_tilde_ms", "mode", "delta_prime_ms", "tot
 
 @dataclass
 class TimingParams:
-    tau_enc: float = 9.0
-    tau_tx: float = 1.0
-    tau_fb: float = 4.0
+    """A session's timing in ms, stated by its forward and feedback intervals.
+
+    A forward interval of delta ms encodes for tau_enc, then is on the air for
+    tau_tx = min(delta, min_forward): a burst takes the minimum air time.
+    """
+
+    delta: float = 10.0
+    delta_tilde: float = 4.0
     rounds: int = 9
     min_forward: float = 1.0
 
     def __post_init__(self):
-        for name in ("tau_enc", "tau_tx", "tau_fb", "min_forward"):
+        for name in ("delta", "delta_tilde", "min_forward"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
 
     @property
-    def delta(self) -> float:
-        return self.tau_enc + self.tau_tx
+    def tau_tx(self) -> float:
+        return min(self.delta, self.min_forward)
 
     @property
-    def delta_tilde(self) -> float:
-        return self.tau_fb
-
-    @classmethod
-    def from_deltas(
-        cls, delta: float, delta_tilde: float, rounds: int, min_forward: float = 1.0
-    ) -> "TimingParams":
-        """Split a combined forward interval into encode + transmit parts.
-
-        The split does not affect any latency total; the transmit share is
-        capped at min_forward by convention.
-        """
-        tau_tx = min(delta, min_forward)
-        return cls(delta - tau_tx, tau_tx, delta_tilde, rounds, min_forward)
+    def tau_enc(self) -> float:
+        return self.delta - self.tau_tx
 
 
 def sync_latency(p: TimingParams) -> float:
@@ -230,7 +225,7 @@ def latency_sweep(
     rows = []
     for d in deltas:
         for dt in delta_tildes:
-            p = TimingParams.from_deltas(d, dt, rounds, min_forward)
+            p = TimingParams(d, dt, rounds, min_forward)
             rows.append(SweepRow(d, dt, "sync", d, sync_latency(p)))
             rows.append(SweepRow(d, dt, "async", async_delta_prime(p), async_latency(p)))
     return rows

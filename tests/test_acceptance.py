@@ -46,7 +46,7 @@ from fbclab.training import (
     train,
 )
 
-P_REF = TimingParams.from_deltas(10, 4, 9)
+P_REF = TimingParams(10, 4, 9)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -70,8 +70,8 @@ def test_criterion_02_delta_prime_and_sweeps(tmp_path):
     for d in range(1, 31):
         for dt in range(0, 16):
             if d <= dt + 2:
-                checks.append(async_delta_prime(TimingParams.from_deltas(d, dt, 9)) == 1.0)
-    p_slow_fb = TimingParams.from_deltas(10, 8, 9)
+                checks.append(async_delta_prime(TimingParams(d, dt, 9)) == 1.0)
+    p_slow_fb = TimingParams(10, 8, 9)
     red = 100 * latency_reduction(p_slow_fb)
     checks.append(abs(red - 46.1) <= 0.5)
 
@@ -102,7 +102,7 @@ def test_criterion_03_simulator_oracle_and_dominance():
         for dt in range(0, 16):
             for rounds in range(2, 13):
                 cells += 1
-                p = TimingParams.from_deltas(d, dt, rounds)
+                p = TimingParams(d, dt, rounds)
                 s, a = sync_latency(p), async_latency(p)
                 if simulate_timeline(p, "sync").total_latency != s:
                     mismatches.append((d, dt, rounds, "sync"))

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fbclab import experiments
 from fbclab.afc import AfcConfig, AfcModel, save_checkpoint
 from fbclab.cli import main
 from fbclab.errors import ConfigError
 from fbclab.experiments import (
+    SCHEDULE_KEYS,
     SCHEME_KEYS,
     SCHEMAS,
     TUNABLE_REGISTRY,
@@ -122,6 +124,51 @@ def test_per_sweep_manifest_holds_only_the_keys_its_scheme_reads(tmp_path):
         assert set(recorded[scheme]) == common | set(SCHEME_KEYS[scheme])
     assert not {"k", "harq_max_attempts", "harq_use_crc16"} & set(recorded["neural"])
     assert not {"checkpoint", "uplink_trace"} & set(recorded["harq-cc"])
+
+
+@pytest.mark.parametrize(
+    "schedule,key,value",
+    [("linear", "alpha_rate", 0.01), ("exponential", "alpha_start", 0), ("exponential", "alpha_end", 5)],
+)
+def test_foreign_alpha_key_rejected(schedule, key, value, tmp_path, capsys):
+    # alpha_start is given at its default: a key as given is a setting.
+    params = {"steps": 2, "batch_size": 2, "alpha_schedule": schedule, key: value}
+    with pytest.raises(ConfigError, match=rf"params\.{key}: alpha_schedule '{schedule}' does not read it"):
+        run_experiment(ExperimentConfig("train", params, 1, str(tmp_path / "run")))
+    assert not (tmp_path / "run").exists()
+    flag = "--" + key.replace("_", "-")
+    code = main(["train", "--alpha-schedule", schedule, flag, str(value), "--steps", "2",
+                 "--seed", "1", "--out", str(tmp_path / "cli")])
+    assert code == 2
+    assert f"params.{key}: alpha_schedule '{schedule}'" in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
+
+
+def test_unknown_alpha_schedule_fails_before_any_file(tmp_path):
+    with pytest.raises(ConfigError, match=r"params\.alpha_schedule: unknown alpha_schedule 'cosine'"):
+        run_experiment(ExperimentConfig("train", {"alpha_schedule": "cosine"}, 1, str(tmp_path / "run")))
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "kind,key,flags",
+    [
+        ("latency-sweep", "delta_ms", ["--delta-ms", "99"]),
+        ("latency-sweep", "delta_tilde_ms", ["--delta-tilde-ms", "3"]),
+        ("latency", "tau_enc_ms", ["--tau-enc-ms", "3"]),
+        ("timeline", "tau_fb_ms", ["--tau-fb-ms", "3"]),
+        ("complexity", "fpga", ["--no-fpga"]),
+    ],
+)
+def test_unread_timing_and_fpga_keys_rejected(kind, key, flags, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=rf"params\.{key}: unknown key for kind '{kind}'"):
+        run_experiment(ExperimentConfig(kind, {key: 3.0}, None, str(tmp_path / "run")))
+    assert not (tmp_path / "run").exists()
+    with pytest.raises(SystemExit) as exc:
+        main([kind, *flags, "--out", str(tmp_path / "cli")])
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
 
 
 @pytest.mark.parametrize(
@@ -477,6 +524,58 @@ def test_every_per_sweep_key_is_common_or_read_by_a_scheme():
     read = set().union(*SCHEME_KEYS.values())
     assert not common & read
     assert set(SCHEMAS["per-sweep"]) == common | read
+
+
+class _ReadRecorder(dict):
+    """A params dict that records every key read with [] or .get."""
+
+    def __init__(self, params, reads):
+        super().__init__(params)
+        self.reads = reads
+
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.add(key)
+        return super().get(key, default)
+
+
+def test_every_schema_key_is_read(tmp_path, monkeypatch):
+    # A schema key no run of its kind reads is a setting the run ignores.
+    reads = {kind: set() for kind in SCHEMAS}
+    for kind, runner in list(experiments._RUNNERS.items()):
+        def recording(p, seed, out, kind=kind, runner=runner):
+            return runner(_ReadRecorder(p, reads[kind]), seed, out)
+        monkeypatch.setitem(experiments._RUNNERS, kind, recording)
+
+    def run(kind, params, seed=None):
+        out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+        run_experiment(ExperimentConfig(kind, params, seed, str(out)))
+        return out
+
+    tiny = {"num_blocks": 2, "rounds": 2, "d_model": 4, "ff_dim": 4, "enc_layers": 1,
+            "dec_layers": 1, "fb_layers": 1, "snr_emb_dim": 2}
+    run("latency", {})
+    run("latency-sweep", {"deltas": [10.0], "delta_tildes": [4.0]})
+    run("timeline", {"jitter": {"1": 5}})
+    run("coverage", {})
+    run("complexity", {})
+    run("gradcheck", {}, 0)
+    assert set(SCHEDULE_KEYS) == {"linear", "exponential"}
+    trained = run("train", {"model": tiny, "steps": 2, "batch_size": 2, "alpha_schedule": "linear",
+                            "eval_snr_grid": [20.0], "eval_max_trials": 100}, 1)
+    run("train", {"model": tiny, "steps": 2, "batch_size": 2, "alpha_schedule": "exponential"}, 1)
+    for scheme in SCHEME_KEYS:
+        params = {"scheme": scheme, "snr_grid": [20.0], "max_trials": 100, "batch_size": 100}
+        if scheme == "neural":
+            params["checkpoint"] = str(trained / "model.ckpt")
+        run("per-sweep", params, 1)
+    unread = {kind: sorted(set(SCHEMAS[kind]) - reads[kind]) for kind in SCHEMAS}
+    unknown = {kind: sorted(reads[kind] - set(SCHEMAS[kind])) for kind in SCHEMAS}
+    assert {kind: keys for kind, keys in unread.items() if keys} == {}
+    assert {kind: keys for kind, keys in unknown.items() if keys} == {}
 
 
 def test_tunable_registry_covers_dataclasses():

@@ -16,7 +16,7 @@ from fbclab.pipeline import (
     timeline_to_csv,
 )
 
-P_REF = TimingParams.from_deltas(10, 4, 9)
+P_REF = TimingParams(10, 4, 9)
 
 
 def test_reference_point_values():
@@ -28,22 +28,22 @@ def test_reference_point_values():
 
 
 def test_floor_cases():
-    p = TimingParams.from_deltas(10, 8, 9)
+    p = TimingParams(10, 8, 9)
     assert async_delta_prime(p) == 1  # (10-8)/2 lands exactly on the floor
     assert async_latency(p) == 83
     assert sync_latency(p) == 154
     assert latency_reduction(p) == pytest.approx(0.46104, abs=1e-4)
     for delta, dt in [(4, 4), (5, 4), (6, 4), (3, 10)]:
-        assert async_delta_prime(TimingParams.from_deltas(delta, dt, 9)) == 1
+        assert async_delta_prime(TimingParams(delta, dt, 9)) == 1
 
 
 def test_degenerate_sync_cases():
-    assert sync_latency(TimingParams.from_deltas(7, 0, 4)) == 28
-    assert sync_latency(TimingParams.from_deltas(7, 3, 1)) == 7
+    assert sync_latency(TimingParams(7, 0, 4)) == 28
+    assert sync_latency(TimingParams(7, 3, 1)) == 7
 
 
 def test_async_requires_two_rounds():
-    p = TimingParams.from_deltas(10, 4, 1)
+    p = TimingParams(10, 4, 1)
     with pytest.raises(InputDomainError):
         async_latency(p)
     with pytest.raises(InputDomainError):
@@ -58,7 +58,7 @@ def test_simulator_equals_closed_forms_exhaustively():
     for delta in range(1, 31):
         for dtilde in range(0, 16):
             for rounds in range(2, 13):
-                p = TimingParams.from_deltas(delta, dtilde, rounds)
+                p = TimingParams(delta, dtilde, rounds)
                 assert simulate_timeline(p, "sync").total_latency == sync_latency(p)
                 assert simulate_timeline(p, "async").total_latency == async_latency(p)
 
@@ -69,27 +69,27 @@ def test_dominance_holds_for_delta_above_one():
     for delta in range(2, 31):
         for dtilde in range(0, 16):
             for rounds in range(2, 13):
-                p = TimingParams.from_deltas(delta, dtilde, rounds)
+                p = TimingParams(delta, dtilde, rounds)
                 assert async_latency(p) <= sync_latency(p)
     for dtilde in range(0, 16):
         for rounds in range(2, 13):
-            p = TimingParams.from_deltas(1, dtilde, rounds)
+            p = TimingParams(1, dtilde, rounds)
             assert async_latency(p) == sync_latency(p) + p.min_forward
 
 
 def test_monotonic_in_every_parameter():
     for fn in (sync_latency, async_latency):
         for delta in range(2, 30):
-            assert fn(TimingParams.from_deltas(delta + 1, 4, 9)) >= fn(
-                TimingParams.from_deltas(delta, 4, 9)
+            assert fn(TimingParams(delta + 1, 4, 9)) >= fn(
+                TimingParams(delta, 4, 9)
             )
         for dt in range(0, 15):
-            assert fn(TimingParams.from_deltas(10, dt + 1, 9)) >= fn(
-                TimingParams.from_deltas(10, dt, 9)
+            assert fn(TimingParams(10, dt + 1, 9)) >= fn(
+                TimingParams(10, dt, 9)
             )
         for rounds in range(2, 12):
-            assert fn(TimingParams.from_deltas(10, 4, rounds + 1)) >= fn(
-                TimingParams.from_deltas(10, 4, rounds)
+            assert fn(TimingParams(10, 4, rounds + 1)) >= fn(
+                TimingParams(10, 4, rounds)
             )
 
 
@@ -106,13 +106,13 @@ def test_timeline_event_invariants():
             assert ev["EncodeStart"] <= ev["EncodeEnd"] <= ev["TxStart"] <= ev["TxEnd"]
             if t <= 7:
                 assert ev["FbStart"] >= ev["TxEnd"]
-                assert ev["FbEnd"] == ev["FbStart"] + P_REF.tau_fb
+                assert ev["FbEnd"] == ev["FbStart"] + P_REF.delta_tilde
             else:
                 assert "FbStart" not in ev
 
 
 def test_fractional_delta_prime_is_exact():
-    p = TimingParams.from_deltas(9, 4, 9)  # (9-4)/2 = 2.5
+    p = TimingParams(9, 4, 9)  # (9-4)/2 = 2.5
     assert async_delta_prime(p) == 2.5
     assert simulate_timeline(p, "async").total_latency == async_latency(p)
 

@@ -33,7 +33,7 @@ WRITERS = {
     "write_per_csv": lambda path: write_per_csv([PerPoint(0.0, 0.5, 0.25, 0.75, 10, 5)], path),
     "write_history_csv": lambda path: write_history_csv([HistoryRow(0, 0.7, 1.0, 8.0)], path),
     "timeline_to_csv": lambda path: timeline_to_csv(
-        simulate_timeline(TimingParams.from_deltas(10.0, 4.0, 3), "async"), path
+        simulate_timeline(TimingParams(10.0, 4.0, 3), "async"), path
     ),
     "sweep_to_csv": lambda path: sweep_to_csv(latency_sweep([2.0], [1.0], 3), path),
     "fpga_report_csv": lambda path: fpga_report_csv(fpga_report(1e6), path),
