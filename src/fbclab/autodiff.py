@@ -24,6 +24,21 @@ is freed as soon as no Python name and no rule refers to it, as in PyTorch
 The graph itself lives until its output is dropped, and backward may run on
 it more than once.
 
+Rebuild rule (selective recomputation: Chen et al., 2016; Korthikanti et
+al., 2022): a recorded op whose output backward can recompute in one pass
+from arrays its own rule keeps registers that recomputation, the output
+Tensor's rebuild. Three ops do: `layer_norm` (`xhat * gamma`, then `+=
+beta`; run at most once per backward for all its readers, and dropped when
+the LayerNorm's own node runs), `gelu` (`x * Phi(x)`), and a batched `@` of
+two recorded operands that carry no rebuild (attention's `p @ v`). The
+weight gradient of a product with a 2-D weight reads its left operand
+through the rebuild when there is one, so the tape keeps no LayerNorm
+output, GELU output or attention mix. A rebuild repeats the forward's
+floating-point operations in the same order, so it returns the same bits,
+and it reads only arrays the rules keep, never another rebuild, so no
+product with a weight is computed twice. An in-place `add` or `mul` drops
+the rebuild of the Tensor it overwrites.
+
 In-place rule: an array may be overwritten only when no rule saved it and no
 other name holds its Tensor. `add` and `mul` take `out=`, one of their
 operands, to write the result into its array; the node is the one `a + b`
@@ -135,11 +150,13 @@ class _Node:
 
 
 class Tensor:
-    __slots__ = ("data", "_node")
+    __slots__ = ("data", "_node", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self._node: _Node | None = _Node() if requires_grad else None
+        # Recomputes data from arrays the tape keeps; set by `_make` only.
+        self._rebuild = None
 
     # -- plumbing ----------------------------------------------------------
 
@@ -244,15 +261,25 @@ class Tensor:
         a_shape = a.shape
 
         # A 2-D right operand is a weight shared across the leading axes of
-        # a: both gradients are then one GEMM over those axes flattened.
+        # a: both gradients are then one GEMM over those axes flattened. The
+        # weight's gradient reads a through a's rebuild when it has one, so
+        # the tape does not keep a.
         if b.ndim == 2:
+            left = self._rebuild or (lambda: a)
+            rebuild = None
+
             def grad_a(g):
                 return (g.reshape(-1, g.shape[-1]) @ b.T).reshape(a_shape)
 
             def grad_b(g):
-                return a.reshape(-1, a_shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                return left().reshape(-1, a_shape[-1]).T @ g.reshape(-1, g.shape[-1])
         else:
             b_shape = b.shape
+            # With both operands recorded, the rules keep both, and the
+            # product is one GEMM of them away.
+            recorded = self._node is not None and other._node is not None
+            plain = self._rebuild is None and other._rebuild is None
+            rebuild = (lambda: a @ b) if recorded and plain else None
 
             def grad_a(g):
                 return _unbroadcast(g @ np.swapaxes(b, -1, -2), a_shape)
@@ -260,7 +287,7 @@ class Tensor:
             def grad_b(g):
                 return _unbroadcast(np.swapaxes(a, -1, -2) @ g, b_shape)
 
-        return _make(a @ b, [(self, grad_a), (other, grad_b)])
+        return _make(a @ b, [(self, grad_a), (other, grad_b)], rebuild)
 
     # -- shape ops ----------------------------------------------------------
 
@@ -289,13 +316,15 @@ class Tensor:
         return self.sum() * (1.0 / self.data.size)
 
 
-def _make(data: np.ndarray, parents) -> Tensor:
-    """A Tensor over data whose node keeps the rules of the operands that need one."""
+def _make(data: np.ndarray, parents, rebuild=None) -> Tensor:
+    """A Tensor over data whose node keeps the rules of the operands that need
+    one; a recorded output also keeps rebuild, which recomputes data."""
     out = Tensor(data)
     if _grad_mode.enabled:
         kept = tuple((p._node, fn) for p, fn in parents if p._node is not None)
         if kept:
             out._node = _Node(kept)
+            out._rebuild = rebuild
     return out
 
 
@@ -317,6 +346,7 @@ def add(a, b, out: Tensor | None = None) -> Tensor:
         data = a.data + b.data
     elif out is a or out is b:
         data = np.add(a.data, b.data, out=out.data)
+        out._rebuild = None
     else:
         raise ValueError("add writes in place only into one of its operands")
     return _make(data, [
@@ -339,6 +369,7 @@ def mul(a, b, out: Tensor | None = None) -> Tensor:
         data = x * y
     elif out is a and b._node is None:
         data = np.multiply(x, y, out=x)
+        out._rebuild = None
     else:
         raise ValueError("mul writes in place only into its first operand, times a constant")
     return _make(data, [
@@ -394,7 +425,7 @@ def gelu(t: Tensor) -> Tensor:
         d *= g
         return d
 
-    return _make(x * cdf, [(t, grad_fn)])
+    return _make(x * cdf, [(t, grad_fn)], lambda: x * cdf)
 
 
 def softmax(t: Tensor) -> Tensor:
@@ -421,21 +452,32 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     One tape node; the backward is the closed form
     dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sqrt(var + eps)
     with dxhat = g * gamma, means taken over the last axis. The node keeps
-    xhat, the row scales and gamma's array, not x.
+    xhat, the row scales and gamma's and beta's arrays, not x and not the
+    output: the output's rebuild repeats the last two steps once per
+    backward, for all its readers, and the node drops it when it runs.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     shape = x.data.shape
     n = shape[-1]
     x2 = x.data.reshape(-1, n)
     ones = np.ones(n)
-    g_data = gamma.data
+    g_data, b_data = gamma.data, beta.data
     xhat = x2 - (x2 @ ones * (1.0 / n))[:, None]
     std = np.sqrt((xhat * xhat) @ ones * (1.0 / n) + eps)[:, None]
     xhat /= std
     out = xhat * g_data
-    out += beta.data
+    out += b_data
+    cache = []
+
+    def rebuild():
+        if not cache:
+            o = xhat * g_data
+            o += b_data
+            cache.append(o.reshape(shape))
+        return cache[0]
 
     def grad_x(g):
+        cache.clear()
         d = g.reshape(-1, n) * g_data
         t = d * xhat
         mean_dx = t @ ones * (1.0 / n)
@@ -446,12 +488,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         return d.reshape(shape)
 
     def grad_gamma(g):
+        cache.clear()
         return _sum_rows(g.reshape(-1, n) * xhat)
 
     def grad_beta(g):
+        cache.clear()
         return _sum_rows(g.reshape(-1, n))
 
-    return _make(out.reshape(shape), [(x, grad_x), (gamma, grad_gamma), (beta, grad_beta)])
+    return _make(
+        out.reshape(shape), [(x, grad_x), (gamma, grad_gamma), (beta, grad_beta)], rebuild
+    )
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

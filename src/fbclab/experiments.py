@@ -180,6 +180,12 @@ SCHEDULE_KEYS: dict[str, tuple[str, ...]] = {
     "exponential": ("alpha_rate",),
 }
 
+# The train keys only the curriculum reads; `fixed_snr_db` bypasses it.
+CURRICULUM_KEYS = (
+    "orig_mean_db", "orig_std_db", "targ_mean_db", "targ_std_db", "sigma_p",
+    "alpha_schedule", *SCHEDULE_KEYS["linear"], *SCHEDULE_KEYS["exponential"],
+)
+
 # `uplink_trace` kinds; each reads its dataclass's fields, the grid point
 # setting `mean_db`.
 TRACE_KINDS = {"mean-reverting": MeanRevertingTrace, "piecewise": PiecewiseTrace}
@@ -253,9 +259,9 @@ _TYPE_CHECKS = {
 def validate_params(kind: str, params: dict) -> dict:
     """Fill defaults and type-check; ConfigError messages carry key paths.
 
-    A key only another per-sweep scheme or train `alpha_schedule` reads is
-    a ConfigError. A per-sweep keeps only the common keys and its scheme's,
-    so the manifest and the config hash state only settings the run reads.
+    Giving a key the run will not read, given the other settings, is a
+    ConfigError, and the validated params keep only the keys the run reads,
+    so the manifest and the config hash state only settings the run uses.
     """
     if kind not in SCHEMAS:
         raise ConfigError(f"kind: unknown experiment kind {kind!r}")
@@ -273,26 +279,43 @@ def validate_params(kind: str, params: dict) -> dict:
         out[key] = value
     if kind in ("train", "gradcheck", "complexity"):
         _check_fields("params.model", out.get("model"), AfcConfig)
-    if kind == "train":
-        _foreign_keys("alpha_schedule", SCHEDULE_KEYS, params, out)
-    if kind == "per-sweep":
-        foreign = _foreign_keys("scheme", SCHEME_KEYS, params, out)
-        out = {key: value for key, value in out.items() if key not in foreign}
-        if out.get("uplink_trace") is not None:
-            _trace_kind(out["uplink_trace"])
+    unread = _unread_keys(kind, out)
+    for key in params:  # the keys as given: defaults are not settings
+        if key in unread:
+            raise ConfigError(f"params.{key}: {unread[key]} does not read it")
+    out = {key: value for key, value in out.items() if key not in unread}
+    if kind == "per-sweep" and out.get("uplink_trace") is not None:
+        _trace_kind(out["uplink_trace"])
     return out
 
 
-def _foreign_keys(selector: str, keys_by_choice: dict, params: dict, out: dict) -> set[str]:
-    """The keys only choices other than `out[selector]` read; giving one is a ConfigError."""
-    choice = out[selector]
+def _unread_keys(kind: str, p: dict) -> dict[str, str]:
+    """The keys a run with settings p does not read, each with the setting that skips it."""
+    if kind == "per-sweep":
+        unread = _foreign_keys("scheme", SCHEME_KEYS, p)
+        if p["scheme"] == "neural" and p["noiseless_feedback"]:
+            unread["feedback_snr_db"] = "a run with noiseless_feedback"
+        return unread
+    if kind != "train":
+        return {}
+    unread = _foreign_keys("alpha_schedule", SCHEDULE_KEYS, p)
+    if p["fixed_snr_db"] is not None:
+        unread.update(dict.fromkeys(CURRICULUM_KEYS, "a run at fixed_snr_db"))
+    if not p["eval_snr_grid"]:
+        skipped = "a run without eval_snr_grid"
+        unread.update(dict.fromkeys(("eval_max_trials", "eval_target_errors"), skipped))
+    if p["noiseless_feedback"]:
+        unread["feedback_snr_db"] = "a run with noiseless_feedback"
+    return unread
+
+
+def _foreign_keys(selector: str, keys_by_choice: dict, p: dict) -> dict[str, str]:
+    """The keys only choices other than `p[selector]` read."""
+    choice = p[selector]
     if choice not in keys_by_choice:
         raise ConfigError(f"params.{selector}: unknown {selector} {choice!r}")
     foreign = set().union(*keys_by_choice.values()) - set(keys_by_choice[choice])
-    for key in params:  # the keys as given: defaults are not settings
-        if key in foreign:
-            raise ConfigError(f"params.{key}: {selector} {choice!r} does not read it")
-    return foreign
+    return dict.fromkeys(foreign, f"{selector} {choice!r}")
 
 
 def _finite_number(value) -> bool:
@@ -510,9 +533,8 @@ def _run_per_sweep(p: dict, seed: int, out: Path) -> list[str]:
         model = load_checkpoint(p["checkpoint"])
         trial = neural_trial_fn(
             model,
-            p["noiseless_feedback"],
-            p["feedback_snr_db"],
-            _trace_kind(p["uplink_trace"]) if p["uplink_trace"] is not None else None,
+            **_feedback(p),
+            uplink_trace=_trace_kind(p["uplink_trace"]) if p["uplink_trace"] is not None else None,
         )
     points = measure_per(
         trial,
@@ -530,19 +552,32 @@ def _run_per_sweep(p: dict, seed: int, out: Path) -> list[str]:
     return ["per.csv"]
 
 
-def _run_train(p: dict, seed: int, out: Path) -> list[str]:
-    model = AfcModel(AfcConfig(**(p["model"] or {})), seed=seed)
+def _feedback(p: dict) -> dict:
+    """The feedback channel's keyword arguments; feedback_snr_db only when noisy."""
+    if p["noiseless_feedback"]:
+        return {"noiseless_feedback": True}
+    return {"noiseless_feedback": False, "feedback_snr_db": p["feedback_snr_db"]}
+
+
+def _curriculum(p: dict) -> CurriculumConfig:
+    """The train curriculum; at a fixed SNR, which bypasses it, the default."""
+    if p["fixed_snr_db"] is not None:
+        return CurriculumConfig()
     if p["alpha_schedule"] == "linear":
         schedule = LinearDecay(p["alpha_start"], p["alpha_end"])
     else:
         schedule = ExponentialDecay(p["alpha_rate"])
-    curriculum = CurriculumConfig(
+    return CurriculumConfig(
         GaussianAnchor(p["orig_mean_db"], p["orig_std_db"]),
         GaussianAnchor(p["targ_mean_db"], p["targ_std_db"]),
         schedule,
         p["sigma_p"],
         p["steps"],
     )
+
+
+def _run_train(p: dict, seed: int, out: Path) -> list[str]:
+    model = AfcModel(AfcConfig(**(p["model"] or {})), seed=seed)
     tc = TrainConfig(
         steps=p["steps"],
         batch_size=p["batch_size"],
@@ -553,12 +588,11 @@ def _run_train(p: dict, seed: int, out: Path) -> list[str]:
         seed=seed,
         fixed_snr_db=p["fixed_snr_db"],
         noiseless_uplink=p["noiseless_uplink"],
-        noiseless_feedback=p["noiseless_feedback"],
-        feedback_snr_db=p["feedback_snr_db"],
+        **_feedback(p),
     )
     eval_grid = expand_grid(p["eval_snr_grid"], "eval_snr_grid") if p["eval_snr_grid"] else None
     try:
-        history = train(model, curriculum, tc)
+        history = train(model, _curriculum(p), tc)
     except NumericalFailure as exc:
         # A failed run leaves the steps it made and where it stopped.
         write_history_csv(exc.history, out / "history.csv")
@@ -576,8 +610,7 @@ def _run_train(p: dict, seed: int, out: Path) -> list[str]:
             max_trials=p["eval_max_trials"],
             target_errors=p["eval_target_errors"],
             seed=seed,
-            noiseless_feedback=p["noiseless_feedback"],
-            feedback_snr_db=p["feedback_snr_db"],
+            **_feedback(p),
         )
         write_per_csv(points, out / "per.csv")
         outputs.append("per.csv")

@@ -287,6 +287,12 @@ def test_in_place_writes_only_into_an_operand():
         ad.mul(a, w, out=a)
     out = ad.add(a, w, out=a)
     assert out.data is a.data and np.array_equal(out.data, [2.0, 2.0, 2.0])
+    # The overwritten Tensor's rebuild would return its old values.
+    m = Tensor(np.ones((2, 3, 3)), requires_grad=True)
+    scores = m @ m.swap_last_axes()
+    assert scores._rebuild is not None
+    ad.mul(scores, 0.5, out=scores)
+    assert scores._rebuild is None
 
 
 def _tiny_session_loss(model, seed):
@@ -298,29 +304,79 @@ def _tiny_session_loss(model, seed):
     return block_cross_entropy(logits, bits_to_block_targets(bits, cfg))
 
 
+def _wrap_rebuilding_ops(monkeypatch, seen):
+    """Wrap the ops that may register a rebuild; seen(kind, operands, output)
+    runs as each returns."""
+    def wrapped(kind, op):
+        def call(*args):
+            out = op(*args)
+            seen(kind, args, out)
+            return out
+        return call
+
+    monkeypatch.setattr(ad, "layer_norm", wrapped("layer_norm", ad.layer_norm))
+    monkeypatch.setattr(ad, "gelu", wrapped("gelu", ad.gelu))
+    monkeypatch.setattr(Tensor, "__matmul__", wrapped("matmul", Tensor.__matmul__))
+
+
+def _buffer(a):
+    """The array that owns a's memory: a view's buffer lives as long as it."""
+    return a if a.base is None else a.base
+
+
 def test_tape_keeps_only_what_backward_reads(monkeypatch):
     model = AfcModel(AfcConfig.tiny(), seed=21)
-    layer_norm_inputs, gelu_inputs = [], []
-    layer_norm, gelu = ad.layer_norm, ad.gelu
+    layer_norm_inputs, gelu_inputs, rebuilt = [], [], []
 
-    def recording_layer_norm(x, *args):
-        layer_norm_inputs.append(weakref.ref(x.data))
-        return layer_norm(x, *args)
+    def record(kind, args, out):
+        if kind == "layer_norm":
+            layer_norm_inputs.append(weakref.ref(args[0].data))
+        if kind == "gelu":
+            gelu_inputs.append(weakref.ref(args[0].data))
+        # The attention mixes p @ v, and the score products q @ k^T.
+        if kind != "matmul" or args[1].data.ndim > 2:
+            rebuilt.append((kind, weakref.ref(_buffer(out.data))))
 
-    def recording_gelu(t):
-        gelu_inputs.append(weakref.ref(t.data))
-        return gelu(t)
-
-    monkeypatch.setattr(ad, "layer_norm", recording_layer_norm)
-    monkeypatch.setattr(ad, "gelu", recording_gelu)
+    _wrap_rebuilding_ops(monkeypatch, record)
     loss = _tiny_session_loss(model, seed=22)
     # Embedding outputs and residual sums enter a LayerNorm and a residual
     # add, neither of which saves them: gone once the forward returns.
     assert layer_norm_inputs and all(ref() is None for ref in layer_norm_inputs)
     # GELU's rule saves its input: alive as long as the graph is.
     assert gelu_inputs and all(ref() is not None for ref in gelu_inputs)
+    # LayerNorm and GELU outputs and attention mixes are rebuilt when
+    # backward needs them: gone once the forward returns.
+    assert {kind for kind, _ in rebuilt} == {"layer_norm", "gelu", "matmul"}
+    assert [kind for kind, ref in rebuilt if ref() is not None] == []
     del loss
     assert all(ref() is None for ref in gelu_inputs)
+
+
+def test_rebuilds_repeat_the_forward_bit_for_bit(monkeypatch):
+    model = AfcModel(AfcConfig.tiny(), seed=27)
+    rng = np.random.default_rng(28)
+    # Gains away from 1 and shifts away from 0, so that arithmetic in
+    # another order rounds differently.
+    for _, p in model.parameters():
+        p.data = p.data + 0.5 * rng.standard_normal(p.shape)
+    registered = []
+
+    def check(kind, args, out):
+        if out._rebuild is not None:
+            assert np.array_equal(_bits(out._rebuild()), _bits(out.data)), kind
+        batched = kind == "matmul" and args[1].data.ndim > 2
+        registered.append((kind, batched, out._rebuild is not None))
+
+    _wrap_rebuilding_ops(monkeypatch, check)
+    _tiny_session_loss(model, seed=29)
+    # Every LayerNorm, GELU and batched product registers one; a product
+    # with a 2-D weight does not.
+    assert {kind for kind, _, _ in registered} == {"layer_norm", "gelu", "matmul"}
+    assert all(has == (kind != "matmul" or batched) for kind, batched, has in registered)
+    registered.clear()
+    with ad.no_grad():
+        _tiny_session_loss(model, seed=29)
+    assert registered and not any(has for _, _, has in registered)
 
 
 def test_dropped_model_is_freed_without_the_cycle_collector():
@@ -347,11 +403,18 @@ def test_default_full_forward_tape_bytes():
         base = tracemalloc.get_traced_memory()[0]
         loss = block_cross_entropy(session_graph(model, bits, np.full(cfg.rounds, 3.0), rng), targets)
         live = tracemalloc.get_traced_memory()[0] - base
+        loss.backward()
+        step_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert np.isfinite(loss.item())
-    # 150.3 MB when every intermediate lived until the step ended.
-    assert live <= 90e6, live
+    # 150.3 MB when every intermediate lived until the step ended, 81.5 MB
+    # when the tape kept LayerNorm and GELU outputs and attention mixes;
+    # 55.7 MB since they are rebuilt.
+    assert live <= 60e6, live
+    # Backward adds the gradients and the LayerNorm outputs it rebuilds:
+    # 59.2 MB.
+    assert step_peak <= 65e6, step_peak
 
 
 def test_backward_twice_gives_identical_gradients():

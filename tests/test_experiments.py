@@ -15,6 +15,7 @@ from fbclab.afc import AfcConfig, AfcModel, save_checkpoint
 from fbclab.cli import main
 from fbclab.errors import ConfigError
 from fbclab.experiments import (
+    CURRICULUM_KEYS,
     SCHEDULE_KEYS,
     SCHEME_KEYS,
     SCHEMAS,
@@ -118,12 +119,61 @@ def test_per_sweep_manifest_holds_only_the_keys_its_scheme_reads(tmp_path):
     for scheme in SCHEME_KEYS:
         params = {"scheme": scheme, "snr_grid": [0.0], "max_trials": 100}
         if scheme == "neural":
-            params["checkpoint"] = str(tmp_path / "m.ckpt")
+            # With noisy feedback, the one setting that reads feedback_snr_db.
+            params.update(checkpoint=str(tmp_path / "m.ckpt"), noiseless_feedback=False)
         run_experiment(ExperimentConfig("per-sweep", params, 1, str(tmp_path / scheme)))
         recorded[scheme] = json.loads((tmp_path / scheme / "manifest.json").read_text())["params"]
         assert set(recorded[scheme]) == common | set(SCHEME_KEYS[scheme])
     assert not {"k", "harq_max_attempts", "harq_use_crc16"} & set(recorded["neural"])
     assert not {"checkpoint", "uplink_trace"} & set(recorded["harq-cc"])
+
+
+TINY = {"num_blocks": 2, "rounds": 2, "d_model": 4, "ff_dim": 4, "enc_layers": 1,
+        "dec_layers": 1, "fb_layers": 1, "snr_emb_dim": 2}
+
+
+def test_train_manifest_holds_only_the_keys_the_run_reads(tmp_path):
+    def recorded(**params):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        params = {"model": TINY, "steps": 2, "batch_size": 2, **params}
+        run_experiment(ExperimentConfig("train", params, 1, str(out)))
+        return set(json.loads((out / "manifest.json").read_text())["params"])
+
+    schema = set(SCHEMAS["train"])
+    eval_keys = {"eval_max_trials", "eval_target_errors"}
+    assert recorded() == schema - {"alpha_rate", "feedback_snr_db"} - eval_keys
+    assert recorded(alpha_schedule="exponential", noiseless_feedback=False,
+                    eval_snr_grid=[20.0], eval_max_trials=100) == schema - {"alpha_start", "alpha_end"}
+    assert recorded(fixed_snr_db=5.0) == schema - set(CURRICULUM_KEYS) - {"feedback_snr_db"} - eval_keys
+
+
+@pytest.mark.parametrize(
+    "kind,params,key,setting",
+    [
+        *[("train", {"fixed_snr_db": 5.0, key: value}, key, "a run at fixed_snr_db")
+          for key, value in [("orig_mean_db", 2.0), ("orig_std_db", 1.0), ("targ_mean_db", 0.0),
+                             ("targ_std_db", 2.0), ("sigma_p", 3.0), ("alpha_schedule", "linear"),
+                             ("alpha_start", 0), ("alpha_end", 5), ("alpha_rate", 0.5)]],
+        ("train", {"eval_max_trials": 100}, "eval_max_trials", "a run without eval_snr_grid"),
+        ("train", {"eval_target_errors": 10}, "eval_target_errors", "a run without eval_snr_grid"),
+        ("train", {"feedback_snr_db": -30.0}, "feedback_snr_db", "a run with noiseless_feedback"),
+        ("train", {"noiseless_feedback": True, "feedback_snr_db": 20.0}, "feedback_snr_db",
+         "a run with noiseless_feedback"),
+        ("per-sweep", {"scheme": "neural", "checkpoint": "/nonexistent.ckpt", "feedback_snr_db": -30.0},
+         "feedback_snr_db", "a run with noiseless_feedback"),
+    ],
+)
+def test_key_the_run_does_not_read_rejected(kind, params, key, setting, tmp_path, capsys):
+    # Only keys as given count: a default the run skips is not a setting.
+    with pytest.raises(ConfigError, match=rf"params\.{key}: {setting} does not read it"):
+        run_experiment(ExperimentConfig(kind, params, 1, str(tmp_path / "run")))
+    assert not (tmp_path / "run").exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params}))
+    code = main([kind, "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "cli")])
+    assert code == 2
+    assert f"params.{key}: {setting} does not read it" in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
 
 
 @pytest.mark.parametrize(
@@ -555,8 +605,6 @@ def test_every_schema_key_is_read(tmp_path, monkeypatch):
         run_experiment(ExperimentConfig(kind, params, seed, str(out)))
         return out
 
-    tiny = {"num_blocks": 2, "rounds": 2, "d_model": 4, "ff_dim": 4, "enc_layers": 1,
-            "dec_layers": 1, "fb_layers": 1, "snr_emb_dim": 2}
     run("latency", {})
     run("latency-sweep", {"deltas": [10.0], "delta_tildes": [4.0]})
     run("timeline", {"jitter": {"1": 5}})
@@ -564,13 +612,15 @@ def test_every_schema_key_is_read(tmp_path, monkeypatch):
     run("complexity", {})
     run("gradcheck", {}, 0)
     assert set(SCHEDULE_KEYS) == {"linear", "exponential"}
-    trained = run("train", {"model": tiny, "steps": 2, "batch_size": 2, "alpha_schedule": "linear",
+    trained = run("train", {"model": TINY, "steps": 2, "batch_size": 2, "alpha_schedule": "linear",
                             "eval_snr_grid": [20.0], "eval_max_trials": 100}, 1)
-    run("train", {"model": tiny, "steps": 2, "batch_size": 2, "alpha_schedule": "exponential"}, 1)
+    # feedback_snr_db is read only with noisy feedback.
+    run("train", {"model": TINY, "steps": 2, "batch_size": 2, "alpha_schedule": "exponential",
+                  "noiseless_feedback": False}, 1)
     for scheme in SCHEME_KEYS:
         params = {"scheme": scheme, "snr_grid": [20.0], "max_trials": 100, "batch_size": 100}
         if scheme == "neural":
-            params["checkpoint"] = str(trained / "model.ckpt")
+            params.update(checkpoint=str(trained / "model.ckpt"), noiseless_feedback=False)
         run("per-sweep", params, 1)
     unread = {kind: sorted(set(SCHEMAS[kind]) - reads[kind]) for kind in SCHEMAS}
     unknown = {kind: sorted(reads[kind] - set(SCHEMAS[kind])) for kind in SCHEMAS}
