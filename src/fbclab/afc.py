@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -239,6 +239,29 @@ class AfcModel(Module):
         columns = [zeros if s is None else s.reshape(batch, c.num_blocks, 1) for s in slots]
         emb = emb + Tensor(np.zeros((batch, c.num_blocks, c.snr_emb_dim)))
         return ad.concat(([] if head is None else [head]) + columns + [emb])
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_FIELD_CHECKS = {
+    "int": _is_int,
+    "bool": lambda value: isinstance(value, bool),
+    "int | None": lambda value: value is None or _is_int(value),
+}
+_CONFIG_FIELDS = {f.name: f.type for f in fields(AfcConfig)}
+
+
+def check_config_fields(values: dict, path: str) -> None:
+    """ConfigError naming `path.<key>` for a key AfcConfig has no field for,
+    or a value not of its field's type (a bool is not an int)."""
+    for key, value in values.items():
+        if key not in _CONFIG_FIELDS:
+            raise ConfigError(f"{path}.{key}: unknown field")
+        expected = _CONFIG_FIELDS[key]
+        if not _FIELD_CHECKS[expected](value):
+            raise ConfigError(f"{path}.{key}: expected {expected}, got {type(value).__name__}")
 
 
 def feedback_window(config: AfcConfig, t: int) -> range:
@@ -474,7 +497,14 @@ def load_checkpoint(path) -> AfcModel:
         if magic != _CKPT_MAGIC:
             raise ConfigError("not a codec checkpoint (bad magic)")
         (cfg_len,) = struct.unpack("<I", fh.read(4))
-        config = AfcConfig(**json.loads(fh.read(cfg_len).decode("utf-8")))
+        try:
+            values = json.loads(fh.read(cfg_len).decode("utf-8"))
+        except ValueError as exc:  # JSON or UTF-8
+            raise ConfigError(f"checkpoint.config: invalid JSON: {exc}") from None
+        if not isinstance(values, dict):
+            raise ConfigError("checkpoint.config: expected an object")
+        check_config_fields(values, "checkpoint.config")
+        config = AfcConfig(**values)
         model = AfcModel(config, seed=0)
         for name, p in model.parameters():
             raw = fh.read(8 * p.size)

@@ -8,7 +8,7 @@ use, and no more:
 - `reshape` and `swap_last_axes`;
 - `sum()` and `mean()` of every element, to a scalar;
 - `concat` and `softmax` over the last axis;
-- `sqrt`, `gelu`, `layer_norm` and `cross_entropy`.
+- `sqrt`, `gelu`, `layer_norm`, `linear` and `cross_entropy`.
 `backward()` starts from a scalar. Gradients are exact; every primitive's
 backward rule is covered by a finite-difference test.
 
@@ -18,33 +18,35 @@ accumulates, which the leaf's `grad` reads. A node never refers to a
 Tensor, so no reference cycle delays freeing a dropped model or graph. A
 rule captures exactly the arrays and shapes its formula reads, never an
 operand Tensor: a sum keeps shapes, a product with a constant keeps the
-constant, `sqrt` its output, a matmul its operands. So an op's output array
-is freed as soon as no Python name and no rule refers to it, as in PyTorch
-(Paszke et al., 2019), where graph nodes hold saved tensors, not outputs.
+constant, `sqrt` its output, a matmul its operands or their rebuilds
+(below). So an op's output array is freed as soon as no Python name and no
+rule refers to it, as in PyTorch (Paszke et al., 2019), where graph nodes
+hold saved tensors, not outputs.
 The graph itself lives until its output is dropped, and backward may run on
 it more than once.
 
 Rebuild rule (selective recomputation: Chen et al., 2016; Korthikanti et
-al., 2022): a recorded op whose output backward can recompute in one pass
-from arrays its own rule keeps registers that recomputation, the output
-Tensor's rebuild. Three ops do: `layer_norm` (`xhat * gamma`, then `+=
-beta`; run at most once per backward for all its readers, and dropped when
-the LayerNorm's own node runs), `gelu` (`x * Phi(x)`), and a batched `@` of
-two recorded operands that carry no rebuild (attention's `p @ v`). The
-weight gradient of a product with a 2-D weight reads its left operand
-through the rebuild when there is one, so the tape keeps no LayerNorm
-output, GELU output or attention mix. A rebuild repeats the forward's
-floating-point operations in the same order, so it returns the same bits,
-and it reads only arrays the rules keep, never another rebuild, so no
-product with a weight is computed twice. An in-place `add` or `mul` drops
-the rebuild of the Tensor it overwrites.
+al., 2022): a recorded op whose output backward can recompute from what its
+own rules read registers that recomputation, the output Tensor's rebuild.
+`layer_norm` (`xhat * gamma`, then `+= beta`), `gelu` (`x * Phi(x)`), a
+batched `@` of two recorded operands (attention's `p @ v`), `swap_last_axes`
+of a Tensor with a rebuild, and `linear` of an input with a rebuild (`x @
+w`, then `+= b`) do. The batched `@`, `gelu` and the weight gradient of a
+product with a 2-D weight read their operands through the rebuild when
+there is one, so the tape keeps no LayerNorm output, GELU output, attention
+mix, or the q, k, v and feed-forward outputs those read. A rebuild repeats
+the forward's floating-point operations in the same order, so it returns
+the same bits. A rebuild may read another rebuild: each runs at most once
+per backward, cached on its node, and the cache is dropped when that node
+runs, after every reader. An in-place `add` or `mul` drops the rebuild of
+the Tensor it overwrites.
 
 In-place rule: an array may be overwritten only when no rule saved it and no
 other name holds its Tensor. `add` and `mul` take `out=`, one of their
 operands, to write the result into its array; the node is the one `a + b`
-and `a * b` record. Three call sites use it: `Linear` adds its bias into its
-GEMM output, `SelfAttention` scales its score product, and
-`TransformerLayer` adds the residual into the branch output. Primitives
+and `a * b` record. Two call sites use it: `SelfAttention` scales its score
+product, and `TransformerLayer` adds the residual into the branch output.
+`linear` adds its bias into its GEMM output the same way. Primitives
 reuse their own temporaries (`out=`) where no rule saved them. Every value
 comes from the same floating-point operations in the same order as without
 reuse, so results are bit for bit the same.
@@ -140,13 +142,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 class _Node:
     """A tape entry: (parent node, backward rule) pairs, or, with no parents,
-    a leaf and the gradient it has accumulated."""
+    a leaf and the gradient it has accumulated. `rebuilt` caches the
+    output's rebuild within one backward."""
 
-    __slots__ = ("parents", "grad")
+    __slots__ = ("parents", "grad", "rebuilt")
 
     def __init__(self, parents: tuple = ()):
         self.parents = parents
         self.grad: np.ndarray | None = None
+        self.rebuilt: np.ndarray | None = None
 
 
 class Tensor:
@@ -224,6 +228,8 @@ class Tensor:
 
         grads: dict[int, np.ndarray] = {id(root): grad}
         for node in reversed(order):
+            # Every reader of this node's output has run.
+            node.rebuilt = None
             g = grads.pop(id(node))
             for parent, fn in node.parents:
                 contribution = fn(g)
@@ -261,11 +267,9 @@ class Tensor:
         a_shape = a.shape
 
         # A 2-D right operand is a weight shared across the leading axes of
-        # a: both gradients are then one GEMM over those axes flattened. The
-        # weight's gradient reads a through a's rebuild when it has one, so
-        # the tape does not keep a.
+        # a: both gradients are then one GEMM over those axes flattened.
         if b.ndim == 2:
-            left = self._rebuild or (lambda: a)
+            left = _reader(self)
             rebuild = None
 
             def grad_a(g):
@@ -275,17 +279,17 @@ class Tensor:
                 return left().reshape(-1, a_shape[-1]).T @ g.reshape(-1, g.shape[-1])
         else:
             b_shape = b.shape
-            # With both operands recorded, the rules keep both, and the
+            left, right = _reader(self), _reader(other)
+            # With both operands recorded, the rules read both, and the
             # product is one GEMM of them away.
             recorded = self._node is not None and other._node is not None
-            plain = self._rebuild is None and other._rebuild is None
-            rebuild = (lambda: a @ b) if recorded and plain else None
+            rebuild = (lambda: left() @ right()) if recorded else None
 
             def grad_a(g):
-                return _unbroadcast(g @ np.swapaxes(b, -1, -2), a_shape)
+                return _unbroadcast(g @ np.swapaxes(right(), -1, -2), a_shape)
 
             def grad_b(g):
-                return _unbroadcast(np.swapaxes(a, -1, -2) @ g, b_shape)
+                return _unbroadcast(np.swapaxes(left(), -1, -2) @ g, b_shape)
 
         return _make(a @ b, [(self, grad_a), (other, grad_b)], rebuild)
 
@@ -300,9 +304,11 @@ class Tensor:
         ])
 
     def swap_last_axes(self):
+        inner = self._rebuild
+        rebuild = None if inner is None else (lambda: np.swapaxes(inner(), -1, -2))
         return _make(np.swapaxes(self.data, -1, -2), [
             (self, lambda g: np.swapaxes(g, -1, -2)),
-        ])
+        ], rebuild)
 
     # -- reductions ---------------------------------------------------------
 
@@ -324,8 +330,30 @@ def _make(data: np.ndarray, parents, rebuild=None) -> Tensor:
         kept = tuple((p._node, fn) for p, fn in parents if p._node is not None)
         if kept:
             out._node = _Node(kept)
-            out._rebuild = rebuild
+            if rebuild is not None:
+                _set_rebuild(out, rebuild)
     return out
+
+
+def _set_rebuild(t: Tensor, compute) -> None:
+    """Make compute, run at most once per backward, recorded t's rebuild."""
+    node = t._node
+
+    def rebuild():
+        if node.rebuilt is None:
+            node.rebuilt = compute()
+        return node.rebuilt
+
+    t._rebuild = rebuild
+
+
+def _reader(t: Tensor):
+    """A function returning t's array: through t's rebuild when it has one,
+    so that a rule reading it does not keep the array."""
+    if t._rebuild is not None:
+        return t._rebuild
+    data = t.data
+    return lambda: data
 
 
 def as_tensor(x) -> Tensor:
@@ -412,10 +440,12 @@ def gelu(t: Tensor) -> Tensor:
     cdf = ndtr(x)
     if t._node is None or not _grad_mode.enabled:
         return Tensor(np.multiply(x, cdf, out=cdf))
+    operand = _reader(t)
 
     def grad_fn(g):
         # g * (cdf + x * pdf) with pdf = exp(-x^2 / 2) / sqrt(2 pi), in one
         # temporary.
+        x = operand()
         d = -0.5 * x
         d *= x
         np.exp(d, out=d)
@@ -425,7 +455,7 @@ def gelu(t: Tensor) -> Tensor:
         d *= g
         return d
 
-    return _make(x * cdf, [(t, grad_fn)], lambda: x * cdf)
+    return _make(x * cdf, [(t, grad_fn)], lambda: operand() * cdf)
 
 
 def softmax(t: Tensor) -> Tensor:
@@ -453,8 +483,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sqrt(var + eps)
     with dxhat = g * gamma, means taken over the last axis. The node keeps
     xhat, the row scales and gamma's and beta's arrays, not x and not the
-    output: the output's rebuild repeats the last two steps once per
-    backward, for all its readers, and the node drops it when it runs.
+    output, whose rebuild repeats the last two steps.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     shape = x.data.shape
@@ -467,17 +496,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     xhat /= std
     out = xhat * g_data
     out += b_data
-    cache = []
 
     def rebuild():
-        if not cache:
-            o = xhat * g_data
-            o += b_data
-            cache.append(o.reshape(shape))
-        return cache[0]
+        o = xhat * g_data
+        o += b_data
+        return o.reshape(shape)
 
     def grad_x(g):
-        cache.clear()
         d = g.reshape(-1, n) * g_data
         t = d * xhat
         mean_dx = t @ ones * (1.0 / n)
@@ -488,16 +513,44 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
         return d.reshape(shape)
 
     def grad_gamma(g):
-        cache.clear()
         return _sum_rows(g.reshape(-1, n) * xhat)
 
     def grad_beta(g):
-        cache.clear()
         return _sum_rows(g.reshape(-1, n))
 
     return _make(
         out.reshape(shape), [(x, grad_x), (gamma, grad_gamma), (beta, grad_beta)], rebuild
     )
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a 2-D weight w, recorded as one node with parents x, w, b.
+
+    The product runs through `Tensor.__matmul__`, so whatever counts its
+    multiply-accumulates counts this one, and the bias is added into the
+    product's array, which no rule reads. When x carries a rebuild, so does
+    the output: `x_rebuild() @ w`, then `+= b`, the forward's own steps.
+    """
+    x = as_tensor(x)
+    out = x @ w
+    np.add(out.data, b.data, out=out.data)
+    if b._node is not None and _grad_mode.enabled:
+        sb = b.data.shape
+        rule = (b._node, lambda g: _unbroadcast(g, sb))
+        if out._node is None:
+            out._node = _Node((rule,))
+        else:
+            out._node.parents += (rule,)
+    if x._rebuild is not None and out._node is not None:
+        left, w_data, b_data = x._rebuild, w.data, b.data
+
+        def rebuild():
+            o = left() @ w_data
+            o += b_data
+            return o
+
+        _set_rebuild(out, rebuild)
+    return out
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

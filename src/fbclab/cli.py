@@ -90,7 +90,10 @@ def main(argv=None) -> int:
                 raise ConfigError(
                     f"config at {args.config} is for kind {file_kind!r}, not {kind!r}"
                 )
-            params.update(doc.get("params", {}))
+            file_params = doc.get("params", {})
+            if not isinstance(file_params, dict):
+                raise ConfigError(f"config at {args.config}: params must be an object")
+            params.update(file_params)
             if seed is None:
                 seed = doc.get("seed")
             if out_dir is None:

@@ -28,6 +28,7 @@ from . import __version__
 from .afc import (
     AfcConfig,
     AfcModel,
+    check_config_fields,
     count_complexity,
     load_checkpoint,
     save_checkpoint,
@@ -277,8 +278,8 @@ def validate_params(kind: str, params: dict) -> dict:
                 f"params.{key}: expected {spec.type}, got {type(value).__name__}"
             )
         out[key] = value
-    if kind in ("train", "gradcheck", "complexity"):
-        _check_fields("params.model", out.get("model"), AfcConfig)
+    if kind in ("train", "gradcheck", "complexity") and out["model"]:
+        check_config_fields(out["model"], "params.model")
     unread = _unread_keys(kind, out)
     for key in params:  # the keys as given: defaults are not settings
         if key in unread:
@@ -320,15 +321,6 @@ def _foreign_keys(selector: str, keys_by_choice: dict, p: dict) -> dict[str, str
 
 def _finite_number(value) -> bool:
     return _TYPE_CHECKS["number"](value) and bool(np.isfinite(value))
-
-
-def _check_fields(path: str, overrides: dict | None, dc_type) -> None:
-    if not overrides:
-        return
-    allowed = {f.name for f in dataclasses.fields(dc_type)}
-    for key in overrides:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown field")
 
 
 def require_seed(config: ExperimentConfig) -> int:
@@ -637,6 +629,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Validate, run, and write outputs plus a manifest; returns the manifest."""
     params = validate_params(config.kind, config.params)
     seed = config.seed
+    if seed is not None and not (_TYPE_CHECKS["int"](seed) and seed >= 0):
+        raise ConfigError(f"seed: expected a non-negative integer, got {seed!r}")
     if config.kind in STOCHASTIC_KINDS:
         seed = require_seed(config)
     out = Path(config.out_dir or default_out_dir())

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -422,3 +425,28 @@ def test_checkpoint_corruption_detected(tmp_path):
     padded.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ConfigError):
         load_checkpoint(padded)
+
+
+def test_checkpoint_config_errors_name_the_key(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(AfcModel(TINY, seed=29), path)
+    raw = path.read_bytes()
+    head = len(b"FBCLAB-CKPT\x01")
+    (size,) = struct.unpack("<I", raw[head:head + 4])
+    config = json.loads(raw[head + 4:head + 4 + size])
+    weights = raw[head + 4 + size:]
+
+    def with_config(blob: bytes):
+        edited = tmp_path / "edited.ckpt"
+        edited.write_bytes(raw[:head] + struct.pack("<I", len(blob)) + blob + weights)
+        return edited
+
+    assert load_checkpoint(with_config(json.dumps(config).encode())).config == TINY
+    with pytest.raises(ConfigError, match=r"^checkpoint\.config\.old_key: unknown field$"):
+        load_checkpoint(with_config(json.dumps({**config, "old_key": 1}).encode()))
+    with pytest.raises(ConfigError, match=r"^checkpoint\.config\.d_model: expected int"):
+        load_checkpoint(with_config(json.dumps({**config, "d_model": "8"}).encode()))
+    with pytest.raises(ConfigError, match=r"^checkpoint\.config: invalid JSON"):
+        load_checkpoint(with_config(b'{"block_size": 3,'))
+    with pytest.raises(ConfigError, match=r"^checkpoint\.config: expected an object"):
+        load_checkpoint(with_config(b"[3]"))

@@ -295,6 +295,17 @@ def test_in_place_writes_only_into_an_operand():
     assert scores._rebuild is None
 
 
+def test_linear_records_one_node():
+    rng = np.random.default_rng(9)
+    layer = Linear(4, 3, rng)
+    x = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
+    out = layer(x)
+    parents = [node for node, _ in out._node.parents]
+    assert parents == [x._node, layer.weight._node, layer.bias._node]
+    with ad.no_grad():
+        assert layer(x)._node is None
+
+
 def _tiny_session_loss(model, seed):
     cfg = model.config
     rng = np.random.default_rng(seed)
@@ -316,6 +327,7 @@ def _wrap_rebuilding_ops(monkeypatch, seen):
 
     monkeypatch.setattr(ad, "layer_norm", wrapped("layer_norm", ad.layer_norm))
     monkeypatch.setattr(ad, "gelu", wrapped("gelu", ad.gelu))
+    monkeypatch.setattr(ad, "linear", wrapped("linear", ad.linear))
     monkeypatch.setattr(Tensor, "__matmul__", wrapped("matmul", Tensor.__matmul__))
 
 
@@ -332,9 +344,9 @@ def test_tape_keeps_only_what_backward_reads(monkeypatch):
         if kind == "layer_norm":
             layer_norm_inputs.append(weakref.ref(args[0].data))
         if kind == "gelu":
-            gelu_inputs.append(weakref.ref(args[0].data))
+            gelu_inputs.append((args[0]._rebuild is not None, weakref.ref(args[0].data)))
         # The attention mixes p @ v, and the score products q @ k^T.
-        if kind != "matmul" or args[1].data.ndim > 2:
+        if kind in ("layer_norm", "gelu") or kind == "matmul" and args[1].data.ndim > 2:
             rebuilt.append((kind, weakref.ref(_buffer(out.data))))
 
     _wrap_rebuilding_ops(monkeypatch, record)
@@ -342,14 +354,38 @@ def test_tape_keeps_only_what_backward_reads(monkeypatch):
     # Embedding outputs and residual sums enter a LayerNorm and a residual
     # add, neither of which saves them: gone once the forward returns.
     assert layer_norm_inputs and all(ref() is None for ref in layer_norm_inputs)
-    # GELU's rule saves its input: alive as long as the graph is.
-    assert gelu_inputs and all(ref() is not None for ref in gelu_inputs)
+    # GELU reads its input through the feed-forward up-projection's rebuild;
+    # only the SNR MLP's, a product of a constant input, has none and is
+    # saved, alive as long as the graph is.
+    assert {rebuilt for rebuilt, _ in gelu_inputs} == {True, False}
+    assert all((ref() is None) == rebuilt for rebuilt, ref in gelu_inputs)
     # LayerNorm and GELU outputs and attention mixes are rebuilt when
     # backward needs them: gone once the forward returns.
     assert {kind for kind, _ in rebuilt} == {"layer_norm", "gelu", "matmul"}
     assert [kind for kind, ref in rebuilt if ref() is not None] == []
     del loss
-    assert all(ref() is None for ref in gelu_inputs)
+    assert all(ref() is None for _, ref in gelu_inputs)
+
+
+def test_linear_outputs_of_rebuilt_inputs_are_not_kept(monkeypatch):
+    model = AfcModel(AfcConfig.tiny(), seed=30)
+    # Power normalisation squares and divides the encoder's and feedback
+    # generator's (B, blocks, 1) head outputs, so its rules keep those.
+    heads = {id(model.enc_head.weight), id(model.fb_head.weight)}
+    outputs = {True: [], False: []}
+
+    def record(kind, args, out):
+        if kind == "linear" and args[0]._rebuild is not None:
+            outputs[id(args[1]) in heads].append(weakref.ref(out.data))
+
+    _wrap_rebuilding_ops(monkeypatch, record)
+    loss = _tiny_session_loss(model, seed=31)
+    # q, k, v, the feed-forward up- and down-projections, the attention
+    # output projections, the decoder head and the SNR MLP's second layer:
+    # rebuilt when backward needs them, gone once the forward returns.
+    assert outputs[False] and all(ref() is None for ref in outputs[False])
+    assert outputs[True] and all(ref() is not None for ref in outputs[True])
+    assert np.isfinite(loss.item())
 
 
 def test_rebuilds_repeat_the_forward_bit_for_bit(monkeypatch):
@@ -364,19 +400,48 @@ def test_rebuilds_repeat_the_forward_bit_for_bit(monkeypatch):
     def check(kind, args, out):
         if out._rebuild is not None:
             assert np.array_equal(_bits(out._rebuild()), _bits(out.data)), kind
-        batched = kind == "matmul" and args[1].data.ndim > 2
-        registered.append((kind, batched, out._rebuild is not None))
+        if kind == "linear":
+            expected = args[0]._rebuild is not None
+        else:
+            expected = kind != "matmul" or args[1].data.ndim > 2
+        registered.append((kind, expected, out._rebuild is not None))
 
     _wrap_rebuilding_ops(monkeypatch, check)
     _tiny_session_loss(model, seed=29)
-    # Every LayerNorm, GELU and batched product registers one; a product
-    # with a 2-D weight does not.
-    assert {kind for kind, _, _ in registered} == {"layer_norm", "gelu", "matmul"}
-    assert all(has == (kind != "matmul" or batched) for kind, batched, has in registered)
+    # Every LayerNorm, GELU and batched product registers one, and so does a
+    # Linear whose input has one; the product with its 2-D weight does not.
+    assert {kind for kind, _, _ in registered} == {"layer_norm", "gelu", "matmul", "linear"}
+    assert all(has == expected for _, expected, has in registered)
+    assert {expected for kind, expected, _ in registered if kind == "linear"} == {True, False}
     registered.clear()
     with ad.no_grad():
         _tiny_session_loss(model, seed=29)
     assert registered and not any(has for _, _, has in registered)
+
+
+def test_each_rebuild_runs_at_most_once_per_backward(monkeypatch):
+    # A LayerNorm output feeds q, k and v and their weight gradients: without
+    # the per-backward cache it would be rebuilt seven times (v twice).
+    runs = []
+    set_rebuild = ad._set_rebuild
+
+    def counted(t, compute):
+        i = len(runs)
+        runs.append(0)
+
+        def compute_counted():
+            runs[i] += 1
+            return compute()
+
+        set_rebuild(t, compute_counted)
+
+    monkeypatch.setattr(ad, "_set_rebuild", counted)
+    loss = _tiny_session_loss(AfcModel(AfcConfig.tiny(), seed=32), seed=33)
+    assert runs and not any(runs)
+    loss.backward()
+    assert max(runs) == 1
+    loss.backward()
+    assert max(runs) == 2
 
 
 def test_dropped_model_is_freed_without_the_cycle_collector():
@@ -409,12 +474,12 @@ def test_default_full_forward_tape_bytes():
         tracemalloc.stop()
     assert np.isfinite(loss.item())
     # 150.3 MB when every intermediate lived until the step ended, 81.5 MB
-    # when the tape kept LayerNorm and GELU outputs and attention mixes;
-    # 55.7 MB since they are rebuilt.
-    assert live <= 60e6, live
-    # Backward adds the gradients and the LayerNorm outputs it rebuilds:
-    # 59.2 MB.
-    assert step_peak <= 65e6, step_peak
+    # when the tape kept LayerNorm and GELU outputs and attention mixes,
+    # 55.7 MB when it kept q, k, v and the feed-forward up-projections;
+    # 32.1 MB since those are rebuilt too.
+    assert live <= 35e6, live
+    # Backward adds the gradients and the outputs it rebuilds: 35.8 MB.
+    assert step_peak <= 40e6, step_peak
 
 
 def test_backward_twice_gives_identical_gradients():

@@ -46,6 +46,24 @@ def test_type_mismatch_reports_path():
         validate_params("timeline", {"jitter": [1, 2]})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("d_model", "x", "expected int, got str"),
+    ("d_model", 2.5, "expected int, got float"),
+    ("rounds", True, "expected int, got bool"),
+    ("lightweight", 1, "expected bool, got int"),
+    ("sparse_ff_window", 1.0, "expected int | None, got float"),
+])
+def test_model_field_types_checked(tmp_path, capsys, field, value, message):
+    for kind in ("train", "gradcheck", "complexity"):
+        with pytest.raises(ConfigError, match=rf"params\.model\.{field}: {message}"):
+            validate_params(kind, {"model": {field: value}})
+    out = tmp_path / "cli"
+    assert main(["complexity", "--model", json.dumps({field: value}), "--out", str(out)]) == 2
+    assert f"params.model.{field}" in capsys.readouterr().err
+    assert not out.exists()
+    validate_params("complexity", {"model": {"sparse_ff_window": None}})
+
+
 def test_seed_required_for_stochastic_kinds(tmp_path):
     with pytest.raises(ConfigError, match="seed"):
         run_experiment(ExperimentConfig("per-sweep", {"scheme": "uncoded"}, None, str(tmp_path)))
@@ -469,6 +487,45 @@ def test_cli_missing_seed_exits_two(tmp_path, capsys):
     code = main(["per-sweep", "--scheme", "uncoded", "--out", str(tmp_path)])
     assert code == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, flags, message", [
+    ({"seed": "x"}, [], "seed: expected a non-negative integer, got 'x'"),
+    ({"seed": 1.5}, [], "seed: expected a non-negative integer, got 1.5"),
+    ({"seed": True}, [], "seed: expected a non-negative integer, got True"),
+    ({}, ["--seed", "-3"], "seed: expected a non-negative integer, got -3"),
+    ({"params": [1, 2]}, ["--seed", "1"], "params must be an object"),
+])
+def test_cli_bad_seed_or_params_exits_two_and_writes_nothing(tmp_path, capsys, doc, flags, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"scheme": "uncoded", "max_trials": 10}, **doc}))
+    out = tmp_path / "cli"
+    assert main(["per-sweep", "--config", str(cfg), "--out", str(out)] + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [True, -1, 2.0, "3"])
+def test_run_experiment_rejects_a_seed_that_is_not_a_non_negative_int(tmp_path, seed):
+    with pytest.raises(ConfigError, match="^seed: "):
+        run_experiment(ExperimentConfig("latency", {}, seed, str(tmp_path / "out")))
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_checkpoint_with_unknown_config_key_exits_two(tmp_path, capsys):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(AfcModel(AfcConfig.tiny(block_size=1, num_blocks=2), seed=8), path)
+    raw = path.read_bytes()
+    # A key renamed in place, at the same length, so the header's length
+    # field still holds.
+    old, renamed = b'"use_positions": false', b'"old_key_positions": 0'
+    assert raw.count(old) == 1 and len(renamed) == len(old)
+    path.write_bytes(raw.replace(old, renamed))
+    out = tmp_path / "cli"
+    code = main(["per-sweep", "--scheme", "neural", "--checkpoint", str(path), "--snr-grid", "[0]",
+                 "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert "checkpoint.config.old_key_positions" in capsys.readouterr().err
 
 
 def test_cli_kind_mismatch_rejected(tmp_path, capsys):
