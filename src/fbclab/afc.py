@@ -10,14 +10,16 @@ width and restricts how far back in the feedback history the encoder looks
 (the sparse window), while the decoder keeps its full capacity.
 
 Feedback newer than t - L, and older than the sparse window when one is set,
-is replaced by zeros before it enters the graph, so encoder outputs are
-structurally independent of it; `feedback_window` states that rule once, for
-the encoder and for the FLOP count. One input builder serves the encoder, the
-feedback generator and the decoder: the optional message, one column per
-slot (zeros where a slot is missing or masked) and the SNR embedding
-broadcast to every block. The transmitter embeds its round's SNR itself; the
-receiver embeds each round's SNR once and shares it between the feedback
-generator and the decoder.
+never enters the graph, so encoder outputs are structurally independent of
+it; `feedback_window` states that rule once, for the encoder and for the
+FLOP count. One input builder serves the encoder, the feedback generator and
+the decoder: the optional message, one column per present slot and the SNR
+embedding broadcast to every block. A missing or masked slot has no column,
+and each input embedding multiplies only the rows of its weight that the
+present columns stand for, so the encoder runs exactly the multiply-
+accumulates `encoder_session_flops` counts. The transmitter embeds its
+round's SNR itself; the receiver embeds each round's SNR once and shares it
+between the feedback generator and the decoder.
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ class AfcConfig:
     def __post_init__(self):
         if self.block_size < 1 or self.num_blocks < 1:
             raise ConfigError("block_size and num_blocks must be >= 1")
+        for name in ("d_model", "ff_dim", "snr_emb_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.rounds < 1 or self.feedback_lag < 1:
             raise ConfigError("rounds and feedback_lag must be >= 1")
         if self.effective_enc_layers > self.dec_layers:
@@ -185,7 +190,7 @@ class AfcModel(Module):
         window = feedback_window(c, t)
         slots = [past_codewords[tau] if tau < t else None for tau in range(c.rounds - 1)]
         slots += [fb.get(tau) if tau in window else None for tau in range(c.rounds - 1)]
-        x = self.enc_embed(self._features(bits_pm, slots, self.snr_embed_graph(snr_db)))
+        x = self.enc_embed(*self._features(bits_pm, slots, self.snr_embed_graph(snr_db)))
         if c.use_positions:
             x = x + self.enc_pos
         x = self.enc_stack(x)
@@ -203,7 +208,7 @@ class AfcModel(Module):
                 f"feedback for round {t} needs receptions 0..{t}, got {len(received)}"
             )
         slots = received + [None] * (c.rounds - len(received))
-        x = self.fb_stack(self.fb_embed(self._features(None, slots, emb)))
+        x = self.fb_stack(self.fb_embed(*self._features(None, slots, emb)))
         fb = self.fb_head(x).reshape(received[0].shape[0], c.num_blocks)
         return power_normalize(fb)
 
@@ -222,23 +227,32 @@ class AfcModel(Module):
         for e in embs[1:]:
             emb = emb + e
         emb = emb * (1.0 / len(embs))
-        x = self.dec_stack(self.dec_embed(self._features(None, received, emb)))
+        x = self.dec_stack(self.dec_embed(*self._features(None, received, emb)))
         return self.dec_head(x)
 
-    def _features(self, head: Tensor | None, slots: list[Tensor | None], emb: Tensor) -> Tensor:
-        """The input of all three networks, (B, num_blocks, features).
+    def _features(
+        self, head: Tensor | None, slots: list[Tensor | None], emb: Tensor
+    ) -> tuple[Tensor, list[int] | None]:
+        """The input of all three networks, (B, num_blocks, features), and the
+        rows of the embedding weight that its features stand for.
 
         Concatenates the optional head (the encoder's message, (B,
-        num_blocks, m)), one column per (B, num_blocks) slot with zeros where
-        the slot is None, and the (B or 1, 1, emb) SNR embedding broadcast to
-        every block.
+        num_blocks, m)), one column per present (B, num_blocks) slot and the
+        (B or 1, 1, emb) SNR embedding, which `concat` broadcasts to every
+        block. A slot that is None has no column, so the embedding neither
+        stores nor multiplies zeros for it: the rows are those of the head,
+        of the present slots and of the embedding, in that order, or None
+        when every slot is present.
         """
-        c = self.config
-        batch = (slots[0] if head is None else head).shape[0]
-        zeros = Tensor(np.zeros((batch, c.num_blocks, 1)))
-        columns = [zeros if s is None else s.reshape(batch, c.num_blocks, 1) for s in slots]
-        emb = emb + Tensor(np.zeros((batch, c.num_blocks, c.snr_emb_dim)))
-        return ad.concat(([] if head is None else [head]) + columns + [emb])
+        present = [i for i, s in enumerate(slots) if s is not None]
+        columns = [slots[i].reshape(slots[i].shape + (1,)) for i in present]
+        x = ad.concat(([] if head is None else [head]) + columns + [emb])
+        if len(present) == len(slots):
+            return x, None
+        width = 0 if head is None else head.shape[-1]
+        emb_row = width + len(slots)
+        rows = [*range(width), *(width + i for i in present)]
+        return x, rows + list(range(emb_row, emb_row + emb.shape[-1]))
 
 
 def _is_int(value) -> bool:
@@ -496,7 +510,10 @@ def load_checkpoint(path) -> AfcModel:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             raise ConfigError("not a codec checkpoint (bad magic)")
-        (cfg_len,) = struct.unpack("<I", fh.read(4))
+        size = fh.read(4)
+        if len(size) != 4:
+            raise ConfigError("checkpoint truncated in the header")
+        (cfg_len,) = struct.unpack("<I", size)
         try:
             values = json.loads(fh.read(cfg_len).decode("utf-8"))
         except ValueError as exc:  # JSON or UTF-8

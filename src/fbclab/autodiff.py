@@ -7,8 +7,9 @@ use, and no more:
   and batched matmul `@`;
 - `reshape` and `swap_last_axes`;
 - `sum()` and `mean()` of every element, to a scalar;
-- `concat` and `softmax` over the last axis;
-- `sqrt`, `gelu`, `layer_norm`, `linear` and `cross_entropy`.
+- `concat` (leading axes broadcast) and `softmax` over the last axis;
+- `sqrt`, `gelu`, `layer_norm`, `linear` (optionally against chosen rows of
+  its weight) and `cross_entropy`.
 `backward()` starts from a scalar. Gradients are exact; every primitive's
 backward rule is covered by a finite-difference test.
 
@@ -30,11 +31,15 @@ al., 2022): a recorded op whose output backward can recompute from what its
 own rules read registers that recomputation, the output Tensor's rebuild.
 `layer_norm` (`xhat * gamma`, then `+= beta`), `gelu` (`x * Phi(x)`), a
 batched `@` of two recorded operands (attention's `p @ v`), `swap_last_axes`
-of a Tensor with a rebuild, and `linear` of an input with a rebuild (`x @
-w`, then `+= b`) do. The batched `@`, `gelu` and the weight gradient of a
-product with a 2-D weight read their operands through the rebuild when
-there is one, so the tape keeps no LayerNorm output, GELU output, attention
-mix, or the q, k, v and feed-forward outputs those read. A rebuild repeats
+of a Tensor with a rebuild, `linear` of an input with a rebuild (`x @ w`,
+then `+= b`) and `concat` (the inputs joined again) do. A concat's inputs
+are smaller than its output or shared with other concats: the codec joins a
+message and (B, blocks) slot arrays that every round reuses with a (B or 1,
+1, emb) embedding. The batched `@`, `gelu`, `concat` and the weight
+gradient of a product with a 2-D weight read their operands through the
+rebuild when there is one, so the tape keeps no LayerNorm output, GELU
+output, attention mix, embedding input, or the q, k, v and feed-forward
+outputs those read. A rebuild repeats
 the forward's floating-point operations in the same order, so it returns
 the same bits. A rebuild may read another rebuild: each runs at most once
 per backward, cached on its node, and the cache is dropped when that node
@@ -410,16 +415,38 @@ def mul(a, b, out: Tensor | None = None) -> Tensor:
 
 
 def concat(tensors: list[Tensor]) -> Tensor:
-    """Concatenation along the last axis."""
+    """Concatenation along the last axis; the leading axes broadcast.
+
+    Each input's gradient is a copy of its slice of the output gradient
+    (summed over the axes it was broadcast along), so no input's gradient
+    pins the whole output gradient. A recorded output's rebuild joins the
+    inputs again, read through `_reader`.
+    """
     tensors = [as_tensor(t) for t in tensors]
+    lead = np.broadcast_shapes(*(t.data.shape[:-1] for t in tensors))
     offsets = np.cumsum([0] + [t.data.shape[-1] for t in tensors])
 
-    def make_grad(i):
+    def make_grad(i, shape):
         lo, hi = offsets[i], offsets[i + 1]
-        return lambda g: g[..., lo:hi]
 
-    data = np.concatenate([t.data for t in tensors], axis=-1)
-    return _make(data, [(t, make_grad(i)) for i, t in enumerate(tensors)])
+        def grad_fn(g):
+            part = g[..., lo:hi]
+            return part.copy() if part.shape == shape else _unbroadcast(part, shape)
+
+        return grad_fn
+
+    def join(arrays):
+        return np.concatenate(
+            [a if a.shape[:-1] == lead else np.broadcast_to(a, lead + a.shape[-1:]) for a in arrays],
+            axis=-1,
+        )
+
+    readers = [_reader(t) for t in tensors]
+    return _make(
+        join([t.data for t in tensors]),
+        [(t, make_grad(i, t.data.shape)) for i, t in enumerate(tensors)],
+        lambda: join([read() for read in readers]),
+    )
 
 
 def sqrt(t: Tensor) -> Tensor:
@@ -523,29 +550,52 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     )
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor, rows=None) -> Tensor:
     """x @ w + b for a 2-D weight w, recorded as one node with parents x, w, b.
 
     The product runs through `Tensor.__matmul__`, so whatever counts its
     multiply-accumulates counts this one, and the bias is added into the
     product's array, which no rule reads. When x carries a rebuild, so does
     the output: `x_rebuild() @ w`, then `+= b`, the forward's own steps.
+
+    With rows, distinct indices into w's first axis, x's features stand for
+    those rows of w alone: the product runs against w[rows], and w's rule
+    scatters their gradient into zeros of w's shape.
     """
     x = as_tensor(x)
-    out = x @ w
+    if rows is None:
+        w_data = w.data
+        out = x @ w
+    else:
+        # The rows enter the product as a constant, and w's rule is added to
+        # this node below, so w's gradient arrives when a full product's
+        # would: a gather node would run later and reorder the sum at w.
+        w_data = w.data[rows]
+        out = x @ Tensor(w_data)
     np.add(out.data, b.data, out=out.data)
+    rules = ()
+    if rows is not None and w._node is not None and _grad_mode.enabled:
+        left, w_shape = _reader(x), w.data.shape
+
+        def grad_w(g):
+            full = np.zeros(w_shape)
+            full[rows] = left().reshape(-1, len(rows)).T @ g.reshape(-1, g.shape[-1])
+            return full
+
+        rules += ((w._node, grad_w),)
     if b._node is not None and _grad_mode.enabled:
         sb = b.data.shape
-        rule = (b._node, lambda g: _unbroadcast(g, sb))
+        rules += ((b._node, lambda g: _unbroadcast(g, sb)),)
+    if rules:
         if out._node is None:
-            out._node = _Node((rule,))
+            out._node = _Node(rules)
         else:
-            out._node.parents += (rule,)
+            out._node.parents += rules
     if x._rebuild is not None and out._node is not None:
-        left, w_data, b_data = x._rebuild, w.data, b.data
+        x_rebuild, b_data = x._rebuild, b.data
 
         def rebuild():
-            o = left() @ w_data
+            o = x_rebuild() @ w_data
             o += b_data
             return o
 

@@ -96,8 +96,13 @@ def main(argv=None) -> int:
             params.update(file_params)
             if seed is None:
                 seed = doc.get("seed")
+            file_out = doc.get("out")
+            if file_out is not None and not isinstance(file_out, str):
+                raise ConfigError(
+                    f"config at {args.config}: out must be a string, got {type(file_out).__name__}"
+                )
             if out_dir is None:
-                out_dir = doc.get("out")
+                out_dir = file_out
         for key in schema:
             if hasattr(args, key):
                 params[key] = getattr(args, key)

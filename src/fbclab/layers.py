@@ -65,8 +65,11 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
         self.in_dim, self.out_dim = in_dim, out_dim
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.linear(x, self.weight, self.bias)
+    def __call__(self, x: Tensor, rows=None) -> Tensor:
+        """x @ weight + bias. With rows, x's features are those input rows of
+        the weight only (the others would multiply zeros), and the weight's
+        gradient reaches those rows only."""
+        return ad.linear(x, self.weight, self.bias, rows)
 
 
 class LayerNorm(Module):

@@ -64,6 +64,15 @@ def test_model_field_types_checked(tmp_path, capsys, field, value, message):
     validate_params("complexity", {"model": {"sparse_ff_window": None}})
 
 
+@pytest.mark.parametrize("field, value", [("d_model", 0), ("snr_emb_dim", 0), ("ff_dim", -1)])
+def test_model_sizes_below_one_rejected(tmp_path, capsys, field, value):
+    with pytest.raises(ConfigError, match=rf"^{field} must be >= 1, got {value}$"):
+        AfcConfig(**{field: value})
+    code = main(["complexity", "--model", json.dumps({field: value}), "--out", str(tmp_path / "cli")])
+    assert code == 2
+    assert f"{field} must be >= 1" in capsys.readouterr().err
+
+
 def test_seed_required_for_stochastic_kinds(tmp_path):
     with pytest.raises(ConfigError, match="seed"):
         run_experiment(ExperimentConfig("per-sweep", {"scheme": "uncoded"}, None, str(tmp_path)))
@@ -495,6 +504,7 @@ def test_cli_missing_seed_exits_two(tmp_path, capsys):
     ({"seed": True}, [], "seed: expected a non-negative integer, got True"),
     ({}, ["--seed", "-3"], "seed: expected a non-negative integer, got -3"),
     ({"params": [1, 2]}, ["--seed", "1"], "params must be an object"),
+    ({"out": 5}, ["--seed", "1"], "out must be a string, got int"),
 ])
 def test_cli_bad_seed_or_params_exits_two_and_writes_nothing(tmp_path, capsys, doc, flags, message):
     cfg = tmp_path / "cfg.json"
@@ -526,6 +536,16 @@ def test_cli_checkpoint_with_unknown_config_key_exits_two(tmp_path, capsys):
                  "--seed", "1", "--out", str(out)])
     assert code == 2
     assert "checkpoint.config.old_key_positions" in capsys.readouterr().err
+
+
+def test_cli_checkpoint_cut_inside_the_header_exits_two(tmp_path, capsys):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(AfcModel(AfcConfig.tiny(block_size=1, num_blocks=2), seed=8), path)
+    path.write_bytes(path.read_bytes()[:12])  # the magic alone
+    code = main(["per-sweep", "--scheme", "neural", "--checkpoint", str(path), "--snr-grid", "[0]",
+                 "--seed", "1", "--out", str(tmp_path / "cli")])
+    assert code == 2
+    assert "checkpoint truncated in the header" in capsys.readouterr().err
 
 
 def test_cli_kind_mismatch_rejected(tmp_path, capsys):
