@@ -67,11 +67,30 @@ from .training import (
 OUTPUT_DIR_ENV = "FBCLAB_OUT"
 
 
+# A key's `read_if` conditions each map the filled-in params to None when
+# met, else to the setting that skips the key; a run reads the key while
+# every condition holds, and the first unmet one names why it does not.
+# `choices` lists the values a selector key may take.
 @dataclass
 class ParamSpec:
     type: str  # number | int | bool | string | list | dict
     default: object
     help: str
+    choices: tuple = ()
+    read_if: tuple = ()
+
+
+def _chosen(key: str, *choices: str):
+    return lambda p: None if p[key] in choices else f"{key} {p[key]!r}"
+
+
+_HARQ, _NEURAL = (_chosen("scheme", "harq-cc"),), (_chosen("scheme", "neural"),)
+_CODED = (_chosen("scheme", "harq-cc", "uncoded"),)
+_NOISY = (lambda p: "a run with noiseless_feedback" if p["noiseless_feedback"] else None,)
+_EVAL = (lambda p: None if p["eval_snr_grid"] is not None else "a run without eval_snr_grid",)
+_CURRICULUM = (lambda p: None if p["fixed_snr_db"] is None else "a run at fixed_snr_db",)
+_LINEAR = (*_CURRICULUM, _chosen("alpha_schedule", "linear"))
+_EXPONENTIAL = (*_CURRICULUM, _chosen("alpha_schedule", "exponential"))
 
 
 def _timing_keys() -> dict[str, ParamSpec]:
@@ -119,22 +138,25 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
         "tolerance": ParamSpec("number", 1e-4, "max allowed relative error"),
     },
     "per-sweep": {
-        "scheme": ParamSpec("string", "harq-cc", "harq-cc | uncoded | neural"),
+        "scheme": ParamSpec(
+            "string", "harq-cc", "harq-cc | uncoded | neural", choices=("harq-cc", "uncoded", "neural")
+        ),
         "snr_grid": ParamSpec("list", [0.0, 10.0, 2.0], "[start, stop, step] or explicit list"),
         "max_trials": ParamSpec("int", 1_000_000, "trial cap per grid point"),
         "target_errors": ParamSpec("int", 100, "early-stop error count per point"),
         "batch_size": ParamSpec("int", 200, "trials per Monte-Carlo batch"),
-        "k": ParamSpec("int", 47, "info bits (harq-cc and uncoded schemes)"),
-        "harq_max_attempts": ParamSpec("int", 3, "attempt budget"),
-        "harq_use_crc16": ParamSpec("bool", False, "CRC-16 ack instead of genie ack"),
-        "checkpoint": ParamSpec("string", None, "codec checkpoint (neural scheme)"),
-        "noiseless_feedback": ParamSpec("bool", True, "ideal feedback channel"),
-        "feedback_snr_db": ParamSpec("number", 20.0, "feedback SNR when noisy"),
+        "k": ParamSpec("int", 47, "info bits (harq-cc and uncoded schemes)", read_if=_CODED),
+        "harq_max_attempts": ParamSpec("int", 3, "attempt budget", read_if=_HARQ),
+        "harq_use_crc16": ParamSpec("bool", False, "CRC-16 ack instead of genie ack", read_if=_HARQ),
+        "checkpoint": ParamSpec("string", None, "codec checkpoint (neural scheme)", read_if=_NEURAL),
+        "noiseless_feedback": ParamSpec("bool", True, "ideal feedback channel", read_if=_NEURAL),
+        "feedback_snr_db": ParamSpec("number", 20.0, "feedback SNR when noisy", read_if=_NEURAL + _NOISY),
         "uplink_trace": ParamSpec(
             "dict",
             None,
             "uplink read at the round times, 1 ms apart: {kind: mean-reverting, reversion_rate,"
             " volatility, start_db} (mean: the grid point) or {kind: piecewise, points}",
+            read_if=_NEURAL,
         ),
     },
     "train": {
@@ -148,44 +170,28 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
         "fixed_snr_db": ParamSpec("number", None, "train at one SNR, bypassing the curriculum"),
         "noiseless_uplink": ParamSpec("bool", False, "disable uplink noise"),
         "noiseless_feedback": ParamSpec("bool", True, "disable feedback noise"),
-        "feedback_snr_db": ParamSpec("number", 20.0, "feedback SNR when noisy"),
-        "orig_mean_db": ParamSpec("number", 8.0, "benign anchor mean"),
-        "orig_std_db": ParamSpec("number", 1.0, "benign anchor std"),
-        "targ_mean_db": ParamSpec("number", 0.0, "harsh anchor mean"),
-        "targ_std_db": ParamSpec("number", 1.0, "harsh anchor std"),
-        "sigma_p": ParamSpec("number", 1.0, "perturbation std"),
-        "alpha_schedule": ParamSpec("string", "linear", "linear | exponential"),
-        "alpha_start": ParamSpec("int", 0, "step where linear decay begins"),
-        "alpha_end": ParamSpec("int", None, "step where linear decay reaches 0 (default: steps)"),
-        "alpha_rate": ParamSpec("number", 0.005, "exponential decay rate"),
+        "feedback_snr_db": ParamSpec("number", 20.0, "feedback SNR when noisy", read_if=_NOISY),
+        "orig_mean_db": ParamSpec("number", 8.0, "benign anchor mean", read_if=_CURRICULUM),
+        "orig_std_db": ParamSpec("number", 1.0, "benign anchor std", read_if=_CURRICULUM),
+        "targ_mean_db": ParamSpec("number", 0.0, "harsh anchor mean", read_if=_CURRICULUM),
+        "targ_std_db": ParamSpec("number", 1.0, "harsh anchor std", read_if=_CURRICULUM),
+        "sigma_p": ParamSpec("number", 1.0, "perturbation std", read_if=_CURRICULUM),
+        "alpha_schedule": ParamSpec(
+            "string", "linear", "linear | exponential",
+            choices=("linear", "exponential"), read_if=_CURRICULUM,
+        ),
+        "alpha_start": ParamSpec("int", 0, "step where linear decay begins", read_if=_LINEAR),
+        "alpha_end": ParamSpec(
+            "int", None, "step where linear decay reaches 0 (default: steps)", read_if=_LINEAR
+        ),
+        "alpha_rate": ParamSpec("number", 0.005, "exponential decay rate", read_if=_EXPONENTIAL),
         "eval_snr_grid": ParamSpec("list", None, "optional post-training PER grid"),
-        "eval_max_trials": ParamSpec("int", 2000, "PER trial cap per point"),
-        "eval_target_errors": ParamSpec("int", 100, "PER early-stop errors"),
+        "eval_max_trials": ParamSpec("int", 2000, "PER trial cap per point", read_if=_EVAL),
+        "eval_target_errors": ParamSpec("int", 100, "PER early-stop errors", read_if=_EVAL),
     },
 }
 
 STOCHASTIC_KINDS = ("per-sweep", "train", "gradcheck")
-
-# The per-sweep keys each scheme reads beyond the common ones (scheme,
-# snr_grid, max_trials, target_errors, batch_size). A key read by another
-# scheme only is a ConfigError, so a run never ignores a setting silently.
-SCHEME_KEYS: dict[str, tuple[str, ...]] = {
-    "harq-cc": ("k", "harq_max_attempts", "harq_use_crc16"),
-    "uncoded": ("k",),
-    "neural": ("checkpoint", "noiseless_feedback", "feedback_snr_db", "uplink_trace"),
-}
-
-# The train keys each `alpha_schedule` reads, checked like SCHEME_KEYS.
-SCHEDULE_KEYS: dict[str, tuple[str, ...]] = {
-    "linear": ("alpha_start", "alpha_end"),
-    "exponential": ("alpha_rate",),
-}
-
-# The train keys only the curriculum reads; `fixed_snr_db` bypasses it.
-CURRICULUM_KEYS = (
-    "orig_mean_db", "orig_std_db", "targ_mean_db", "targ_std_db", "sigma_p",
-    "alpha_schedule", *SCHEDULE_KEYS["linear"], *SCHEDULE_KEYS["exponential"],
-)
 
 # `uplink_trace` kinds; each reads its dataclass's fields, the grid point
 # setting `mean_db`.
@@ -280,7 +286,14 @@ def validate_params(kind: str, params: dict) -> dict:
         out[key] = value
     if kind in ("train", "gradcheck", "complexity") and out["model"]:
         check_config_fields(out["model"], "params.model")
-    unread = _unread_keys(kind, out)
+    for key, spec in schema.items():
+        if spec.choices and out[key] not in spec.choices:
+            raise ConfigError(f"params.{key}: unknown {key} {out[key]!r}")
+    unread = {
+        key: reason
+        for key, spec in schema.items()
+        if (reason := next(filter(None, (cond(out) for cond in spec.read_if)), None))
+    }
     for key in params:  # the keys as given: defaults are not settings
         if key in unread:
             raise ConfigError(f"params.{key}: {unread[key]} does not read it")
@@ -288,35 +301,6 @@ def validate_params(kind: str, params: dict) -> dict:
     if kind == "per-sweep" and out.get("uplink_trace") is not None:
         _trace_kind(out["uplink_trace"])
     return out
-
-
-def _unread_keys(kind: str, p: dict) -> dict[str, str]:
-    """The keys a run with settings p does not read, each with the setting that skips it."""
-    if kind == "per-sweep":
-        unread = _foreign_keys("scheme", SCHEME_KEYS, p)
-        if p["scheme"] == "neural" and p["noiseless_feedback"]:
-            unread["feedback_snr_db"] = "a run with noiseless_feedback"
-        return unread
-    if kind != "train":
-        return {}
-    unread = _foreign_keys("alpha_schedule", SCHEDULE_KEYS, p)
-    if p["fixed_snr_db"] is not None:
-        unread.update(dict.fromkeys(CURRICULUM_KEYS, "a run at fixed_snr_db"))
-    if not p["eval_snr_grid"]:
-        skipped = "a run without eval_snr_grid"
-        unread.update(dict.fromkeys(("eval_max_trials", "eval_target_errors"), skipped))
-    if p["noiseless_feedback"]:
-        unread["feedback_snr_db"] = "a run with noiseless_feedback"
-    return unread
-
-
-def _foreign_keys(selector: str, keys_by_choice: dict, p: dict) -> dict[str, str]:
-    """The keys only choices other than `p[selector]` read."""
-    choice = p[selector]
-    if choice not in keys_by_choice:
-        raise ConfigError(f"params.{selector}: unknown {selector} {choice!r}")
-    foreign = set().union(*keys_by_choice.values()) - set(keys_by_choice[choice])
-    return dict.fromkeys(foreign, f"{selector} {choice!r}")
 
 
 def _finite_number(value) -> bool:
@@ -582,7 +566,8 @@ def _run_train(p: dict, seed: int, out: Path) -> list[str]:
         noiseless_uplink=p["noiseless_uplink"],
         **_feedback(p),
     )
-    eval_grid = expand_grid(p["eval_snr_grid"], "eval_snr_grid") if p["eval_snr_grid"] else None
+    grid = p["eval_snr_grid"]
+    eval_grid = expand_grid(grid, "eval_snr_grid") if grid is not None else None
     try:
         history = train(model, _curriculum(p), tc)
     except NumericalFailure as exc:
@@ -634,7 +619,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if config.kind in STOCHASTIC_KINDS:
         seed = require_seed(config)
     out = Path(config.out_dir or default_out_dir())
-    out.mkdir(parents=True, exist_ok=True)
     outputs = _RUNNERS[config.kind](params, seed, out)
     manifest = _manifest(config.kind, params, seed, outputs)
     write_json(out / "manifest.json", manifest)

@@ -15,9 +15,6 @@ from fbclab.afc import AfcConfig, AfcModel, save_checkpoint
 from fbclab.cli import main
 from fbclab.errors import ConfigError
 from fbclab.experiments import (
-    CURRICULUM_KEYS,
-    SCHEDULE_KEYS,
-    SCHEME_KEYS,
     SCHEMAS,
     TUNABLE_REGISTRY,
     ExperimentConfig,
@@ -27,6 +24,17 @@ from fbclab.experiments import (
     validate_params,
 )
 from fbclab.results import emit_results, parse_results
+
+# The keys each per-sweep scheme reads beyond the common ones, the train keys
+# each alpha schedule reads, and the train keys only the curriculum reads.
+SCHEME_KEYS = {
+    "harq-cc": ("k", "harq_max_attempts", "harq_use_crc16"),
+    "uncoded": ("k",),
+    "neural": ("checkpoint", "noiseless_feedback", "feedback_snr_db", "uplink_trace"),
+}
+SCHEDULE_KEYS = {"linear": ("alpha_start", "alpha_end"), "exponential": ("alpha_rate",)}
+CURRICULUM_KEYS = ("orig_mean_db", "orig_std_db", "targ_mean_db", "targ_std_db", "sigma_p",
+                   "alpha_schedule", "alpha_start", "alpha_end", "alpha_rate")
 
 
 # -- validation -----------------------------------------------------------------
@@ -71,6 +79,7 @@ def test_model_sizes_below_one_rejected(tmp_path, capsys, field, value):
     code = main(["complexity", "--model", json.dumps({field: value}), "--out", str(tmp_path / "cli")])
     assert code == 2
     assert f"{field} must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
 
 
 def test_seed_required_for_stochastic_kinds(tmp_path):
@@ -83,8 +92,9 @@ def test_seed_required_for_stochastic_kinds(tmp_path):
 def test_neural_scheme_needs_checkpoint(tmp_path):
     with pytest.raises(ConfigError, match=r"params\.checkpoint"):
         run_experiment(
-            ExperimentConfig("per-sweep", {"scheme": "neural"}, 1, str(tmp_path))
+            ExperimentConfig("per-sweep", {"scheme": "neural"}, 1, str(tmp_path / "run"))
         )
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("scheme", ["harq-cc", "uncoded"])
@@ -109,6 +119,8 @@ def test_uplink_trace_rejected_for_schemes_that_ignore_it(scheme, tmp_path, caps
         ("uncoded", {"harq_use_crc16": False}, "harq_use_crc16"),
         ("uncoded", {"harq_max_attempts": 2}, "harq_max_attempts"),
         ("neural", {"k": 30, "checkpoint": "/nonexistent.ckpt"}, "k"),
+        # The scheme is named, not the noiseless feedback a neural run would skip it for.
+        ("harq-cc", {"feedback_snr_db": -50.0}, "feedback_snr_db"),
     ],
 )
 def test_foreign_per_sweep_key_rejected(scheme, params, key, tmp_path, capsys):
@@ -221,9 +233,12 @@ def test_foreign_alpha_key_rejected(schedule, key, value, tmp_path, capsys):
     assert not (tmp_path / "cli").exists()
 
 
-def test_unknown_alpha_schedule_fails_before_any_file(tmp_path):
-    with pytest.raises(ConfigError, match=r"params\.alpha_schedule: unknown alpha_schedule 'cosine'"):
-        run_experiment(ExperimentConfig("train", {"alpha_schedule": "cosine"}, 1, str(tmp_path / "run")))
+@pytest.mark.parametrize(
+    "kind,key,value", [("train", "alpha_schedule", "cosine"), ("per-sweep", "scheme", "bogus")]
+)
+def test_unknown_alpha_schedule_fails_before_any_file(kind, key, value, tmp_path):
+    with pytest.raises(ConfigError, match=rf"params\.{key}: unknown {key} '{value}'"):
+        run_experiment(ExperimentConfig(kind, {key: value}, 1, str(tmp_path / "run")))
     assert not (tmp_path / "run").exists()
 
 
@@ -296,10 +311,11 @@ def test_grid_entries_must_be_finite_numbers(grid):
         expand_grid(grid, "g")
 
 
-def test_nonfinite_eval_grid_fails_before_training(tmp_path):
+@pytest.mark.parametrize("grid", [[0.0, float("nan")], []], ids=["nan", "empty"])
+def test_nonfinite_eval_grid_fails_before_training(grid, tmp_path):
     params = {"model": {"num_blocks": 2, "rounds": 2, "d_model": 4, "ff_dim": 4, "enc_layers": 1,
                         "dec_layers": 1, "fb_layers": 1, "snr_emb_dim": 2},
-              "steps": 1, "batch_size": 2, "eval_snr_grid": [0.0, float("nan")]}
+              "steps": 1, "batch_size": 2, "eval_snr_grid": grid}
     with pytest.raises(ConfigError, match=r"params\.eval_snr_grid"):
         run_experiment(ExperimentConfig("train", params, 1, str(tmp_path)))
     assert list(tmp_path.iterdir()) == []
@@ -546,6 +562,7 @@ def test_cli_checkpoint_cut_inside_the_header_exits_two(tmp_path, capsys):
                  "--seed", "1", "--out", str(tmp_path / "cli")])
     assert code == 2
     assert "checkpoint truncated in the header" in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
 
 
 def test_cli_kind_mismatch_rejected(tmp_path, capsys):
@@ -645,12 +662,14 @@ def test_every_subcommand_has_a_schema():
 
 
 def test_every_per_sweep_key_is_common_or_read_by_a_scheme():
-    # A new per-sweep key must name the schemes that read it, or the
-    # foreign-key check would let the others ignore it silently.
+    # A new per-sweep key must name the schemes that read it in its read
+    # conditions, or the other schemes would ignore it silently.
     common = {"scheme", "snr_grid", "max_trials", "target_errors", "batch_size"}
     read = set().union(*SCHEME_KEYS.values())
     assert not common & read
     assert set(SCHEMAS["per-sweep"]) == common | read
+    assert {key for key, spec in SCHEMAS["per-sweep"].items() if spec.read_if} == read
+    assert set(SCHEMAS["per-sweep"]["scheme"].choices) == set(SCHEME_KEYS)
 
 
 class _ReadRecorder(dict):
@@ -689,6 +708,7 @@ def test_every_schema_key_is_read(tmp_path, monkeypatch):
     run("complexity", {})
     run("gradcheck", {}, 0)
     assert set(SCHEDULE_KEYS) == {"linear", "exponential"}
+    assert set(SCHEMAS["train"]["alpha_schedule"].choices) == set(SCHEDULE_KEYS)
     trained = run("train", {"model": TINY, "steps": 2, "batch_size": 2, "alpha_schedule": "linear",
                             "eval_snr_grid": [20.0], "eval_max_trials": 100}, 1)
     # feedback_snr_db is read only with noisy feedback.
