@@ -330,8 +330,7 @@ def session_graph(
     snr_db_rounds: np.ndarray,
     rng: np.random.Generator,
     noiseless_uplink: bool = False,
-    noiseless_feedback: bool = True,
-    feedback_snr_db: float = 20.0,
+    feedback_snr_db: float | None = None,
 ) -> Tensor:
     """Run a whole batched session inside the autodiff graph.
 
@@ -340,9 +339,9 @@ def session_graph(
     reception so far, and encode_round_graph masks all but rounds
     t - L - window .. t - L. Noise enters additively as constants, so
     gradients flow through the channel to every round's encoder and feedback
-    generator. A non-finite uplink SNR, or feedback SNR on a noisy feedback
-    channel, raises NumericalFailure. Returns the final per-block logits,
-    (B, num_blocks, 2^m).
+    generator. Feedback is ideal when feedback_snr_db is None, else AWGN at
+    that SNR. A non-finite uplink or feedback SNR raises NumericalFailure.
+    Returns the final per-block logits, (B, num_blocks, 2^m).
     """
     c = model.config
     bits = np.asarray(bits)
@@ -356,7 +355,7 @@ def session_graph(
         raise ProtocolViolation(f"per-sample SNRs must be ({batch}, {c.rounds})")
     if not np.isfinite(snrs).all():
         raise NumericalFailure("uplink SNRs must be finite")
-    if not noiseless_feedback and not np.isfinite(feedback_snr_db):
+    if feedback_snr_db is not None and not np.isfinite(feedback_snr_db):
         raise NumericalFailure(f"feedback_snr_db must be finite, got {feedback_snr_db}")
 
     def round_snr(t):
@@ -383,7 +382,7 @@ def session_graph(
         # Feedback that no later round can consume is never generated.
         if t <= c.rounds - 1 - c.feedback_lag:
             fb = model.generate_feedback_graph(t, received, embs[t])
-            if noiseless_feedback:
+            if feedback_snr_db is None:
                 fb_received.append(fb)
             else:
                 fb_sigma = noise_sigma(feedback_snr_db)
@@ -405,8 +404,7 @@ def forward_backward(
     snr_db_rounds,
     rng: np.random.Generator,
     noiseless_uplink: bool = False,
-    noiseless_feedback: bool = True,
-    feedback_snr_db: float = 20.0,
+    feedback_snr_db: float | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """One training step's forward and backward pass.
 
@@ -420,7 +418,6 @@ def forward_backward(
         snr_db_rounds,
         rng,
         noiseless_uplink=noiseless_uplink,
-        noiseless_feedback=noiseless_feedback,
         feedback_snr_db=feedback_snr_db,
     )
     targets = bits_to_block_targets(bits, model.config)
@@ -506,7 +503,11 @@ def save_checkpoint(model: AfcModel, path) -> None:
 
 
 def load_checkpoint(path) -> AfcModel:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ConfigError(f"checkpoint: cannot read {path}: {exc}") from exc
+    with fh:
         magic = fh.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             raise ConfigError("not a codec checkpoint (bad magic)")

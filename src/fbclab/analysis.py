@@ -115,7 +115,7 @@ def fpga_report(flops: float, specs: list[FpgaSpec] | None = None) -> list[dict]
 
 
 def fpga_report_csv(rows: list[dict], path) -> None:
-    emit_results(rows, "csv", path, FPGA_CSV_HEADER)
+    emit_results(rows, path, FPGA_CSV_HEADER)
 
 
 def coverage_report(

@@ -86,7 +86,6 @@ def _chosen(key: str, *choices: str):
 
 _HARQ, _NEURAL = (_chosen("scheme", "harq-cc"),), (_chosen("scheme", "neural"),)
 _CODED = (_chosen("scheme", "harq-cc", "uncoded"),)
-_NOISY = (lambda p: "a run with noiseless_feedback" if p["noiseless_feedback"] else None,)
 _EVAL = (lambda p: None if p["eval_snr_grid"] is not None else "a run without eval_snr_grid",)
 _CURRICULUM = (lambda p: None if p["fixed_snr_db"] is None else "a run at fixed_snr_db",)
 _LINEAR = (*_CURRICULUM, _chosen("alpha_schedule", "linear"))
@@ -149,8 +148,9 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
         "harq_max_attempts": ParamSpec("int", 3, "attempt budget", read_if=_HARQ),
         "harq_use_crc16": ParamSpec("bool", False, "CRC-16 ack instead of genie ack", read_if=_HARQ),
         "checkpoint": ParamSpec("string", None, "codec checkpoint (neural scheme)", read_if=_NEURAL),
-        "noiseless_feedback": ParamSpec("bool", True, "ideal feedback channel", read_if=_NEURAL),
-        "feedback_snr_db": ParamSpec("number", 20.0, "feedback SNR when noisy", read_if=_NEURAL + _NOISY),
+        "feedback_snr_db": ParamSpec(
+            "number", None, "AWGN feedback SNR (default: ideal feedback)", read_if=_NEURAL
+        ),
         "uplink_trace": ParamSpec(
             "dict",
             None,
@@ -169,8 +169,7 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
         "adam_eps": ParamSpec("number", 1e-8, "Adam epsilon"),
         "fixed_snr_db": ParamSpec("number", None, "train at one SNR, bypassing the curriculum"),
         "noiseless_uplink": ParamSpec("bool", False, "disable uplink noise"),
-        "noiseless_feedback": ParamSpec("bool", True, "disable feedback noise"),
-        "feedback_snr_db": ParamSpec("number", 20.0, "feedback SNR when noisy", read_if=_NOISY),
+        "feedback_snr_db": ParamSpec("number", None, "AWGN feedback SNR (default: ideal feedback)"),
         "orig_mean_db": ParamSpec("number", 8.0, "benign anchor mean", read_if=_CURRICULUM),
         "orig_std_db": ParamSpec("number", 1.0, "benign anchor std", read_if=_CURRICULUM),
         "targ_mean_db": ParamSpec("number", 0.0, "harsh anchor mean", read_if=_CURRICULUM),
@@ -222,7 +221,6 @@ TUNABLE_REGISTRY: dict[str, dict[str, str]] = {
         "seed": "fixed: top-level --seed option shared by every kind",
         "fixed_snr_db": "train.fixed_snr_db",
         "noiseless_uplink": "train.noiseless_uplink",
-        "noiseless_feedback": "train.noiseless_feedback",
         "feedback_snr_db": "train.feedback_snr_db",
     },
     "training.CurriculumConfig": {
@@ -253,8 +251,15 @@ class ExperimentConfig:
 # Validation
 # ---------------------------------------------------------------------------
 
+def _finite_number(value) -> bool:
+    """An int or float, not a bool, that a float holds finitely."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= float(np.finfo(float).max)
+
+
 _TYPE_CHECKS = {
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "number": _finite_number,
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "bool": lambda v: isinstance(v, bool),
     "string": lambda v: isinstance(v, str),
@@ -266,9 +271,11 @@ _TYPE_CHECKS = {
 def validate_params(kind: str, params: dict) -> dict:
     """Fill defaults and type-check; ConfigError messages carry key paths.
 
-    Giving a key the run will not read, given the other settings, is a
-    ConfigError, and the validated params keep only the keys the run reads,
-    so the manifest and the config hash state only settings the run uses.
+    A key takes null only where its default is null, and a number key takes
+    only finite numbers. Giving a key the run will not read, given the other
+    settings, is a ConfigError, and the validated params keep only the keys
+    the run reads, so the manifest and the config hash state only settings
+    the run uses.
     """
     if kind not in SCHEMAS:
         raise ConfigError(f"kind: unknown experiment kind {kind!r}")
@@ -279,10 +286,9 @@ def validate_params(kind: str, params: dict) -> dict:
     out = {}
     for key, spec in schema.items():
         value = params.get(key, spec.default)
-        if value is not None and not _TYPE_CHECKS[spec.type](value):
-            raise ConfigError(
-                f"params.{key}: expected {spec.type}, got {type(value).__name__}"
-            )
+        if not (_TYPE_CHECKS[spec.type](value) or value is None and spec.default is None):
+            shown = value if value is None or isinstance(value, float) else type(value).__name__
+            raise ConfigError(f"params.{key}: expected {spec.type}, got {shown}")
         out[key] = value
     if kind in ("train", "gradcheck", "complexity") and out["model"]:
         check_config_fields(out["model"], "params.model")
@@ -301,10 +307,6 @@ def validate_params(kind: str, params: dict) -> dict:
     if kind == "per-sweep" and out.get("uplink_trace") is not None:
         _trace_kind(out["uplink_trace"])
     return out
-
-
-def _finite_number(value) -> bool:
-    return _TYPE_CHECKS["number"](value) and bool(np.isfinite(value))
 
 
 def require_seed(config: ExperimentConfig) -> int:
@@ -509,7 +511,7 @@ def _run_per_sweep(p: dict, seed: int, out: Path) -> list[str]:
         model = load_checkpoint(p["checkpoint"])
         trial = neural_trial_fn(
             model,
-            **_feedback(p),
+            feedback_snr_db=p["feedback_snr_db"],
             uplink_trace=_trace_kind(p["uplink_trace"]) if p["uplink_trace"] is not None else None,
         )
     points = measure_per(
@@ -526,13 +528,6 @@ def _run_per_sweep(p: dict, seed: int, out: Path) -> list[str]:
     )
     write_per_csv(points, out / "per.csv")
     return ["per.csv"]
-
-
-def _feedback(p: dict) -> dict:
-    """The feedback channel's keyword arguments; feedback_snr_db only when noisy."""
-    if p["noiseless_feedback"]:
-        return {"noiseless_feedback": True}
-    return {"noiseless_feedback": False, "feedback_snr_db": p["feedback_snr_db"]}
 
 
 def _curriculum(p: dict) -> CurriculumConfig:
@@ -564,7 +559,7 @@ def _run_train(p: dict, seed: int, out: Path) -> list[str]:
         seed=seed,
         fixed_snr_db=p["fixed_snr_db"],
         noiseless_uplink=p["noiseless_uplink"],
-        **_feedback(p),
+        feedback_snr_db=p["feedback_snr_db"],
     )
     grid = p["eval_snr_grid"]
     eval_grid = expand_grid(grid, "eval_snr_grid") if grid is not None else None
@@ -587,7 +582,7 @@ def _run_train(p: dict, seed: int, out: Path) -> list[str]:
             max_trials=p["eval_max_trials"],
             target_errors=p["eval_target_errors"],
             seed=seed,
-            **_feedback(p),
+            feedback_snr_db=p["feedback_snr_db"],
         )
         write_per_csv(points, out / "per.csv")
         outputs.append("per.csv")

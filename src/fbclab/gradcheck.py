@@ -76,12 +76,7 @@ def check_session_loss(config: AfcConfig, seed: int, h: float) -> float:
 
     def loss_and_grads():
         return forward_backward(
-            model,
-            bits,
-            snrs,
-            np.random.default_rng(noise_seed),
-            noiseless_feedback=False,
-            feedback_snr_db=8.0,
+            model, bits, snrs, np.random.default_rng(noise_seed), feedback_snr_db=8.0
         )
 
     _, grads = loss_and_grads()

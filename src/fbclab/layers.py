@@ -63,7 +63,6 @@ class Linear(Module):
             rng.uniform(-scale, scale, (in_dim, out_dim)), requires_grad=True
         )
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
-        self.in_dim, self.out_dim = in_dim, out_dim
 
     def __call__(self, x: Tensor, rows=None) -> Tensor:
         """x @ weight + bias. With rows, x's features are those input rows of

@@ -66,6 +66,8 @@ def measure_per(
         raise ConfigError("max_trials must be at least 100")
     if target_errors < 1:
         raise ConfigError("target_errors must be at least 1")
+    if batch_size < 1:
+        raise ConfigError("batch_size must be at least 1")
     if threads < 1:
         raise ConfigError("threads must be at least 1")
 
@@ -100,7 +102,7 @@ def usable_cpus() -> int:
 
 
 def write_per_csv(points: list[PerPoint], path) -> None:
-    emit_results([asdict(p) for p in points], "csv", path, PER_CSV_HEADER)
+    emit_results([asdict(p) for p in points], path, PER_CSV_HEADER)
 
 
 def read_per_csv(path) -> list[PerPoint]:

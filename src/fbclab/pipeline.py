@@ -202,7 +202,7 @@ def simulate_timeline(
 
 def timeline_to_csv(tl: Timeline, path) -> None:
     records = [dict(zip(TIMELINE_CSV_HEADER, (e.round, e.kind, e.time))) for e in tl.events]
-    emit_results(records, "csv", path, TIMELINE_CSV_HEADER)
+    emit_results(records, path, TIMELINE_CSV_HEADER)
 
 
 @dataclass
@@ -232,4 +232,4 @@ def latency_sweep(
 
 
 def sweep_to_csv(rows: list[SweepRow], path) -> None:
-    emit_results([asdict(r) for r in rows], "csv", path, SWEEP_CSV_HEADER)
+    emit_results([asdict(r) for r in rows], path, SWEEP_CSV_HEADER)

@@ -7,8 +7,8 @@ leaves the previous file untouched and no temp file behind. The file gets the
 mode a plain `open()` would give it (0o666 less the umask).
 
 Records are written as CSV in the `csv` module's default dialect (rows end in
-"\\r\\n", cells are quoted only when needed) or as indented JSON with sorted
-keys; floats carry 9 significant digits.
+"\\r\\n", cells are quoted only when needed), other payloads as indented
+JSON with sorted keys; floats carry 9 significant digits.
 
 This module imports nothing from the package but `errors`, so every module
 that writes results can use it without an import cycle.
@@ -82,27 +82,18 @@ def _cell(v) -> str:
     return str(v)
 
 
-def emit_results(records: list[dict], fmt: str, path, columns: list[str] | None = None) -> None:
-    """Write homogeneous records as CSV or JSON with 9-significant-digit floats.
+def emit_results(records: list[dict], path, columns: list[str]) -> None:
+    """Write records as CSV under the header `columns`, floats at 9
+    significant digits.
 
-    Column order is `columns` when given, else that of the first record;
-    every record must have exactly those keys, in that order. A writer with a
-    fixed format passes its columns, so an empty list still gets its header.
-    Strings are written as given, so a caller that wants another number
-    format passes the cell already formatted.
+    Every record must have exactly those keys, in that order, and an empty
+    list gets the header alone. Strings are written as given, so a caller
+    that wants another number format passes the cell already formatted.
     """
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    if columns is not None:
-        keys = list(columns)
-    else:
-        keys = list(records[0].keys()) if records else []
+    keys = list(columns)
     for i, rec in enumerate(records):
         if list(rec.keys()) != keys:
             raise ConfigError(f"records[{i}] keys differ from the columns {keys}")
-    if fmt == "json":
-        write_json(path, records)
-        return
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(keys)
@@ -111,11 +102,8 @@ def emit_results(records: list[dict], fmt: str, path, columns: list[str] | None 
 
 
 def parse_results(path) -> list[dict]:
-    """Inverse of emit_results for both formats (best-effort cell typing)."""
-    path = Path(path)
-    text = path.read_text()
-    if path.suffix == ".json" or text.lstrip().startswith(("[", "{")):
-        return json.loads(text)
+    """Inverse of emit_results (best-effort cell typing)."""
+    text = Path(path).read_text()
     rows = [row for row in csv.reader(text.splitlines()) if row]
     if not rows:
         return []

@@ -113,8 +113,7 @@ class TrainConfig:
     seed: int = 0
     fixed_snr_db: float | None = None  # set -> curriculum bypassed
     noiseless_uplink: bool = False
-    noiseless_feedback: bool = True
-    feedback_snr_db: float = 20.0
+    feedback_snr_db: float | None = None  # None -> ideal feedback
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -181,7 +180,6 @@ def train(
                 np.full(model.config.rounds, snr),
                 rng,
                 noiseless_uplink=config.noiseless_uplink,
-                noiseless_feedback=config.noiseless_feedback,
                 feedback_snr_db=config.feedback_snr_db,
             )
         except NumericalFailure as exc:
@@ -194,13 +192,12 @@ def train(
 
 
 def write_history_csv(history: list[HistoryRow], path) -> None:
-    emit_results([asdict(row) for row in history], "csv", path, HISTORY_CSV_HEADER)
+    emit_results([asdict(row) for row in history], path, HISTORY_CSV_HEADER)
 
 
 def neural_trial_fn(
     model: AfcModel,
-    noiseless_feedback: bool = True,
-    feedback_snr_db: float = 20.0,
+    feedback_snr_db: float | None = None,
     uplink_trace: Callable[[float], TraceKind] | None = None,
 ):
     """Batched packet trials of the neural codec, for measure_per.
@@ -224,14 +221,7 @@ def neural_trial_fn(
             snrs = sample_traces(uplink_trace(snr_db), round_ms, rng, n)
         bits = rng.integers(0, 2, (n, c.k))
         with ad.no_grad():
-            logits = session_graph(
-                model,
-                bits,
-                snrs,
-                rng,
-                noiseless_feedback=noiseless_feedback,
-                feedback_snr_db=feedback_snr_db,
-            )
+            logits = session_graph(model, bits, snrs, rng, feedback_snr_db=feedback_snr_db)
         return np.all(logits_to_bits(logits.data) == bits, axis=1)
 
     return trial
@@ -243,13 +233,12 @@ def evaluate_robustness(
     max_trials: int = 2000,
     target_errors: int = 100,
     seed: int = 0,
-    noiseless_feedback: bool = True,
-    feedback_snr_db: float = 20.0,
+    feedback_snr_db: float | None = None,
 ) -> list[PerPoint]:
     """PER with confidence intervals across an SNR grid, one grid point per
     usable CPU at a time."""
     return measure_per(
-        neural_trial_fn(model, noiseless_feedback, feedback_snr_db),
+        neural_trial_fn(model, feedback_snr_db),
         snr_grid,
         max_trials=max_trials,
         target_errors=target_errors,

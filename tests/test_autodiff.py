@@ -337,7 +337,7 @@ def _tiny_session_loss(model, seed):
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, (4, cfg.k))
     snrs = rng.uniform(-1.0, 5.0, (4, cfg.rounds))
-    logits = session_graph(model, bits, snrs, rng, noiseless_feedback=False)
+    logits = session_graph(model, bits, snrs, rng, feedback_snr_db=20.0)
     return block_cross_entropy(logits, bits_to_block_targets(bits, cfg))
 
 

@@ -97,12 +97,12 @@ def test_nonfinite_input_rejected():
     with pytest.raises(NumericalFailure, match="uplink"):
         session_graph(model, bits, np.full(TINY.rounds, np.inf), np.random.default_rng(0),
                       noiseless_uplink=True)
-    with pytest.raises(NumericalFailure, match="feedback_snr_db"):
-        session_graph(model, bits, np.zeros(TINY.rounds), np.random.default_rng(0),
-                      noiseless_feedback=False, feedback_snr_db=np.nan)
-    # ideal feedback never reads its SNR
-    session_graph(model, bits, np.zeros(TINY.rounds), np.random.default_rng(0),
-                  noiseless_feedback=True, feedback_snr_db=np.nan)
+    for snr in (np.nan, np.inf):
+        with pytest.raises(NumericalFailure, match="feedback_snr_db"):
+            session_graph(model, bits, np.zeros(TINY.rounds), np.random.default_rng(0),
+                          feedback_snr_db=snr)
+    # ideal feedback, the default, has no SNR to check
+    session_graph(model, bits, np.zeros(TINY.rounds), np.random.default_rng(0))
 
 
 def test_mean_reverting_monotone_drift():

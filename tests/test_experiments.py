@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ from fbclab.results import emit_results, parse_results
 SCHEME_KEYS = {
     "harq-cc": ("k", "harq_max_attempts", "harq_use_crc16"),
     "uncoded": ("k",),
-    "neural": ("checkpoint", "noiseless_feedback", "feedback_snr_db", "uplink_trace"),
+    "neural": ("checkpoint", "feedback_snr_db", "uplink_trace"),
 }
 SCHEDULE_KEYS = {"linear": ("alpha_start", "alpha_end"), "exponential": ("alpha_rate",)}
 CURRICULUM_KEYS = ("orig_mean_db", "orig_std_db", "targ_mean_db", "targ_std_db", "sigma_p",
@@ -82,6 +83,35 @@ def test_model_sizes_below_one_rejected(tmp_path, capsys, field, value):
     assert not (tmp_path / "cli").exists()
 
 
+def _null_and_nonfinite_values():
+    """(kind, key, value): null for every key whose default is not null, and
+    NaN and inf for every number key."""
+    for kind, schema in SCHEMAS.items():
+        for key, spec in schema.items():
+            if spec.default is not None:
+                yield kind, key, None
+            if spec.type == "number":
+                yield kind, key, float("nan")
+                yield kind, key, float("inf")
+
+
+@pytest.mark.parametrize("kind,key,value", list(_null_and_nonfinite_values()))
+def test_null_or_nonfinite_value_rejected(kind, key, value, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=rf"^params\.{key}: expected "):
+        run_experiment(ExperimentConfig(kind, {key: value}, 1, str(tmp_path / "run")))
+    assert not (tmp_path / "run").exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {key: value}}))  # NaN and Infinity tokens
+    runs = [["--config", str(cfg)]]
+    if value is not None:
+        runs.append(["--" + key.replace("_", "-"), str(value)])
+    for flags in runs:
+        code = main([kind, *flags, "--seed", "1", "--out", str(tmp_path / "cli")])
+        assert code == 2
+        assert f"params.{key}: expected " in capsys.readouterr().err
+        assert not (tmp_path / "cli").exists()
+
+
 def test_seed_required_for_stochastic_kinds(tmp_path):
     with pytest.raises(ConfigError, match="seed"):
         run_experiment(ExperimentConfig("per-sweep", {"scheme": "uncoded"}, None, str(tmp_path)))
@@ -115,11 +145,10 @@ def test_uplink_trace_rejected_for_schemes_that_ignore_it(scheme, tmp_path, caps
     "scheme,params,key",
     [
         ("harq-cc", {"checkpoint": "/nonexistent.ckpt"}, "checkpoint"),
-        ("harq-cc", {"noiseless_feedback": False, "feedback_snr_db": -50.0}, "noiseless_feedback"),
+        ("uncoded", {"feedback_snr_db": -50.0}, "feedback_snr_db"),
         ("uncoded", {"harq_use_crc16": False}, "harq_use_crc16"),
         ("uncoded", {"harq_max_attempts": 2}, "harq_max_attempts"),
         ("neural", {"k": 30, "checkpoint": "/nonexistent.ckpt"}, "k"),
-        # The scheme is named, not the noiseless feedback a neural run would skip it for.
         ("harq-cc", {"feedback_snr_db": -50.0}, "feedback_snr_db"),
     ],
 )
@@ -158,8 +187,7 @@ def test_per_sweep_manifest_holds_only_the_keys_its_scheme_reads(tmp_path):
     for scheme in SCHEME_KEYS:
         params = {"scheme": scheme, "snr_grid": [0.0], "max_trials": 100}
         if scheme == "neural":
-            # With noisy feedback, the one setting that reads feedback_snr_db.
-            params.update(checkpoint=str(tmp_path / "m.ckpt"), noiseless_feedback=False)
+            params.update(checkpoint=str(tmp_path / "m.ckpt"))
         run_experiment(ExperimentConfig("per-sweep", params, 1, str(tmp_path / scheme)))
         recorded[scheme] = json.loads((tmp_path / scheme / "manifest.json").read_text())["params"]
         assert set(recorded[scheme]) == common | set(SCHEME_KEYS[scheme])
@@ -180,10 +208,10 @@ def test_train_manifest_holds_only_the_keys_the_run_reads(tmp_path):
 
     schema = set(SCHEMAS["train"])
     eval_keys = {"eval_max_trials", "eval_target_errors"}
-    assert recorded() == schema - {"alpha_rate", "feedback_snr_db"} - eval_keys
-    assert recorded(alpha_schedule="exponential", noiseless_feedback=False,
+    assert recorded() == schema - {"alpha_rate"} - eval_keys
+    assert recorded(alpha_schedule="exponential", feedback_snr_db=20.0,
                     eval_snr_grid=[20.0], eval_max_trials=100) == schema - {"alpha_start", "alpha_end"}
-    assert recorded(fixed_snr_db=5.0) == schema - set(CURRICULUM_KEYS) - {"feedback_snr_db"} - eval_keys
+    assert recorded(fixed_snr_db=5.0) == schema - set(CURRICULUM_KEYS) - eval_keys
 
 
 @pytest.mark.parametrize(
@@ -195,11 +223,6 @@ def test_train_manifest_holds_only_the_keys_the_run_reads(tmp_path):
                              ("alpha_start", 0), ("alpha_end", 5), ("alpha_rate", 0.5)]],
         ("train", {"eval_max_trials": 100}, "eval_max_trials", "a run without eval_snr_grid"),
         ("train", {"eval_target_errors": 10}, "eval_target_errors", "a run without eval_snr_grid"),
-        ("train", {"feedback_snr_db": -30.0}, "feedback_snr_db", "a run with noiseless_feedback"),
-        ("train", {"noiseless_feedback": True, "feedback_snr_db": 20.0}, "feedback_snr_db",
-         "a run with noiseless_feedback"),
-        ("per-sweep", {"scheme": "neural", "checkpoint": "/nonexistent.ckpt", "feedback_snr_db": -30.0},
-         "feedback_snr_db", "a run with noiseless_feedback"),
     ],
 )
 def test_key_the_run_does_not_read_rejected(kind, params, key, setting, tmp_path, capsys):
@@ -304,7 +327,7 @@ def test_expand_grid():
     "grid",
     [[float("nan"), 2.0], [1.0, float("-inf")], [0.0, float("inf"), 1.0],
      [float("nan"), 2.0, 1.0], [0.0, 2.0, float("nan")], [0.0, 2.0, float("inf")],
-     ["x", 2.0], ["3", 2.0], [0.0, True, 1.0]],
+     ["x", 2.0], ["3", 2.0], [0.0, True, 1.0], [10**400, 2.0]],
 )
 def test_grid_entries_must_be_finite_numbers(grid):
     with pytest.raises(ConfigError, match=r"params\.g: every entry must be a finite number"):
@@ -335,17 +358,17 @@ def test_cli_nonfinite_snr_grid_exits_two(grid, tmp_path, capsys):
 
 def test_emit_empty_gives_header_only_csv(tmp_path):
     path = tmp_path / "empty.csv"
-    emit_results([], "csv", path)
-    assert path.read_text() == "\n"
-    emit_results([{"a": 1, "b": 2.5}], "csv", path)
-    assert path.read_text().splitlines()[0] == "a,b"
+    emit_results([], path, ["a", "b"])
+    assert path.read_text() == "a,b\n"
+    emit_results([{"a": 1, "b": 2.5}], path, ["a", "b"])
+    assert path.read_text().splitlines() == ["a,b", "1,2.5"]
 
 
 def test_emit_rejects_heterogeneous_records(tmp_path):
     with pytest.raises(ConfigError):
-        emit_results([{"a": 1}, {"b": 2}], "csv", tmp_path / "x.csv")
+        emit_results([{"a": 1}, {"b": 2}], tmp_path / "x.csv", ["a"])
     with pytest.raises(ConfigError):
-        emit_results([], "xml", tmp_path / "x.xml")
+        emit_results([{"b": 2, "a": 1}], tmp_path / "x.csv", ["a", "b"])
 
 
 @settings(max_examples=20, deadline=None)
@@ -366,15 +389,13 @@ def test_emit_parse_round_trip(rows):
     records = [
         {"n": n, "value": float(f"{v:.9g}"), "mode": s} for n, v, s in rows
     ]
-    for fmt, suffix in (("csv", ".csv"), ("json", ".json")):
-        fd, path = tempfile.mkstemp(suffix=suffix)
-        os.close(fd)
-        try:
-            emit_results(records, fmt, path)
-            back = parse_results(path)
-            assert back == records
-        finally:
-            os.unlink(path)
+    fd, path = tempfile.mkstemp(suffix=".csv")
+    os.close(fd)
+    try:
+        emit_results(records, path, ["n", "value", "mode"])
+        assert parse_results(path) == records
+    finally:
+        os.unlink(path)
 
 
 def test_sweep_record_worked_example(tmp_path):
@@ -521,6 +542,7 @@ def test_cli_missing_seed_exits_two(tmp_path, capsys):
     ({}, ["--seed", "-3"], "seed: expected a non-negative integer, got -3"),
     ({"params": [1, 2]}, ["--seed", "1"], "params must be an object"),
     ({"out": 5}, ["--seed", "1"], "out must be a string, got int"),
+    ({"params": {"scheme": "uncoded", "batch_size": -5}}, ["--seed", "1"], "batch_size must be at least 1"),
 ])
 def test_cli_bad_seed_or_params_exits_two_and_writes_nothing(tmp_path, capsys, doc, flags, message):
     cfg = tmp_path / "cfg.json"
@@ -562,6 +584,20 @@ def test_cli_checkpoint_cut_inside_the_header_exits_two(tmp_path, capsys):
                  "--seed", "1", "--out", str(tmp_path / "cli")])
     assert code == 2
     assert "checkpoint truncated in the header" in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
+
+
+@pytest.mark.parametrize("name", ["no/such.ckpt", "."], ids=["missing", "directory"])
+def test_cli_unreadable_checkpoint_exits_two(name, tmp_path, capsys):
+    path = tmp_path / name
+    params = {"scheme": "neural", "checkpoint": str(path), "snr_grid": [0.0]}
+    with pytest.raises(ConfigError, match="^" + re.escape(f"checkpoint: cannot read {path}: ")):
+        run_experiment(ExperimentConfig("per-sweep", params, 1, str(tmp_path / "run")))
+    assert not (tmp_path / "run").exists()
+    code = main(["per-sweep", "--scheme", "neural", "--checkpoint", str(path), "--snr-grid", "[0]",
+                 "--seed", "1", "--out", str(tmp_path / "cli")])
+    assert code == 2
+    assert f"checkpoint: cannot read {path}" in capsys.readouterr().err
     assert not (tmp_path / "cli").exists()
 
 
@@ -711,13 +747,12 @@ def test_every_schema_key_is_read(tmp_path, monkeypatch):
     assert set(SCHEMAS["train"]["alpha_schedule"].choices) == set(SCHEDULE_KEYS)
     trained = run("train", {"model": TINY, "steps": 2, "batch_size": 2, "alpha_schedule": "linear",
                             "eval_snr_grid": [20.0], "eval_max_trials": 100}, 1)
-    # feedback_snr_db is read only with noisy feedback.
     run("train", {"model": TINY, "steps": 2, "batch_size": 2, "alpha_schedule": "exponential",
-                  "noiseless_feedback": False}, 1)
+                  "feedback_snr_db": 20.0}, 1)
     for scheme in SCHEME_KEYS:
         params = {"scheme": scheme, "snr_grid": [20.0], "max_trials": 100, "batch_size": 100}
         if scheme == "neural":
-            params.update(checkpoint=str(trained / "model.ckpt"), noiseless_feedback=False)
+            params.update(checkpoint=str(trained / "model.ckpt"), feedback_snr_db=20.0)
         run("per-sweep", params, 1)
     unread = {kind: sorted(set(SCHEMAS[kind]) - reads[kind]) for kind in SCHEMAS}
     unknown = {kind: sorted(reads[kind] - set(SCHEMAS[kind])) for kind in SCHEMAS}

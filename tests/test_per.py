@@ -144,6 +144,17 @@ def test_validation():
         measure_per(trial, [0.0], threads=0)
 
 
+@pytest.mark.parametrize("batch_size", [0, -5])
+def test_batch_size_below_one_rejected(batch_size):
+    # A batch of no trials never ends the point; such a call must not happen.
+    def trial(snr_db, rng, n):
+        assert n >= 1, f"asked for a batch of {n} trials"
+        return uncoded_bpsk_trial_fn(8)(snr_db, rng, n)
+
+    with pytest.raises(ConfigError, match="^batch_size must be at least 1$"):
+        measure_per(trial, [0.0], max_trials=100, batch_size=batch_size)
+
+
 def test_csv_round_trip(tmp_path):
     points = measure_per(
         uncoded_bpsk_trial_fn(32), [0.0, 2.0], max_trials=300, target_errors=300, seed=4

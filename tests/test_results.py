@@ -29,7 +29,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "fbclab"
 
 WRITERS = {
     "write_json": lambda path: write_json(path, {"a": 1.5}),
-    "emit_results": lambda path: emit_results([{"a": 1, "b": "x"}], "csv", path),
+    "emit_results": lambda path: emit_results([{"a": 1, "b": "x"}], path, ["a", "b"]),
     "write_per_csv": lambda path: write_per_csv([PerPoint(0.0, 0.5, 0.25, 0.75, 10, 5)], path),
     "write_history_csv": lambda path: write_history_csv([HistoryRow(0, 0.7, 1.0, 8.0)], path),
     "timeline_to_csv": lambda path: timeline_to_csv(

@@ -53,7 +53,7 @@ def test_synchronous_lag_echoes_previous_round():
     # and feedback after the last round is never generated
     assert generated[-1] is None
 
-    noisy_fb, noisy_gen = _recorded_session(cfg, seed=0, noiseless_feedback=False)
+    noisy_fb, noisy_gen = _recorded_session(cfg, seed=0, feedback_snr_db=20.0)
     for t in range(1, cfg.rounds):
         assert noisy_fb[t][-1] is not noisy_gen[t - 1]
         assert noisy_fb[t][-1].shape == noisy_gen[t - 1].shape
@@ -78,7 +78,7 @@ def test_lag_two_consumed_rounds():
 
 def test_lag_equal_to_horizon_sees_no_feedback():
     cfg = AfcConfig.tiny(rounds=5, feedback_lag=5)
-    given_fb, generated = _recorded_session(cfg, seed=2, noiseless_feedback=False)
+    given_fb, generated = _recorded_session(cfg, seed=2, feedback_snr_db=20.0)
     assert given_fb == [[]] * cfg.rounds
     assert generated == [None] * cfg.rounds
 
