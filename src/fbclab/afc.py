@@ -24,6 +24,7 @@ between the feedback generator and the decoder.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -37,7 +38,9 @@ from .errors import ConfigError, NumericalFailure, ProtocolViolation
 from .layers import Linear, Module, SnrMlp, TransformerStack
 from .results import atomic_write
 
-_CKPT_MAGIC = b"FBCLAB-CKPT\x01"
+_CKPT_NAME, _CKPT_VERSION = b"FBCLAB-CKPT", 2
+_CKPT_MAGIC = _CKPT_NAME + bytes([_CKPT_VERSION])
+_CKPT_DIGEST = hashlib.sha256().digest_size
 _NORM_EPS = 1e-8
 
 
@@ -55,7 +58,6 @@ class AfcConfig:
     snr_emb_dim: int = 16
     lightweight: bool = False
     sparse_ff_window: int | None = None
-    use_positions: bool = False
 
     def __post_init__(self):
         if self.block_size < 1 or self.num_blocks < 1:
@@ -144,11 +146,6 @@ class AfcModel(Module):
             c.enc_d_model, c.enc_ff_dim, c.effective_enc_layers, rng
         )
         self.enc_head = Linear(c.enc_d_model, 1, rng)
-        if c.use_positions:
-            self.enc_pos = Tensor(
-                0.02 * rng.standard_normal((c.num_blocks, c.enc_d_model)),
-                requires_grad=True,
-            )
 
         self.fb_embed = Linear(c.dec_in_dim, c.d_model, rng)
         self.fb_stack = TransformerStack(c.d_model, c.ff_dim, c.fb_layers, rng)
@@ -191,8 +188,6 @@ class AfcModel(Module):
         slots = [past_codewords[tau] if tau < t else None for tau in range(c.rounds - 1)]
         slots += [fb.get(tau) if tau in window else None for tau in range(c.rounds - 1)]
         x = self.enc_embed(*self._features(bits_pm, slots, self.snr_embed_graph(snr_db)))
-        if c.use_positions:
-            x = x + self.enc_pos
         x = self.enc_stack(x)
         sym = self.enc_head(x).reshape(bits_pm.shape[0], c.num_blocks)
         return power_normalize(sym)
@@ -450,10 +445,7 @@ def encoder_param_count(config: AfcConfig) -> int:
     n = _linear_params(1, c.snr_emb_dim) + _linear_params(c.snr_emb_dim, c.snr_emb_dim)
     n += _linear_params(c.enc_in_dim, c.enc_d_model)
     n += _stack_params(c.enc_d_model, c.enc_ff_dim, c.effective_enc_layers)
-    n += _linear_params(c.enc_d_model, 1)
-    if c.use_positions:
-        n += c.num_blocks * c.enc_d_model
-    return n
+    return n + _linear_params(c.enc_d_model, 1)
 
 
 def _active_inputs(config: AfcConfig, t: int) -> int:
@@ -495,40 +487,47 @@ def count_complexity(config: AfcConfig) -> dict:
 
 
 def save_checkpoint(model: AfcModel, path) -> None:
-    """Versioned header, config echo, then raw little-endian float64 weights."""
+    """Header, config echo and little-endian float64 weights, then the SHA-256 of all three."""
     cfg_blob = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
-    parts = [_CKPT_MAGIC, struct.pack("<I", len(cfg_blob)), cfg_blob]
-    parts += [np.ascontiguousarray(p.data, dtype="<f8").tobytes() for _, p in model.parameters()]
-    atomic_write(path, b"".join(parts))
+    weights = [np.ascontiguousarray(p.data, dtype="<f8").tobytes() for _, p in model.parameters()]
+    body = b"".join([_CKPT_MAGIC, struct.pack("<I", len(cfg_blob)), cfg_blob, *weights])
+    atomic_write(path, body + hashlib.sha256(body).digest())
 
 
 def load_checkpoint(path) -> AfcModel:
+    """The codec a checkpoint holds, bit-exact, or a ConfigError. Checks the
+    magic, the digest (any cut, added or flipped byte), the config, then the
+    weight byte count the config implies."""
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"checkpoint: cannot read {path}: {exc}") from exc
-    with fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise ConfigError("not a codec checkpoint (bad magic)")
-        size = fh.read(4)
-        if len(size) != 4:
-            raise ConfigError("checkpoint truncated in the header")
-        (cfg_len,) = struct.unpack("<I", size)
-        try:
-            values = json.loads(fh.read(cfg_len).decode("utf-8"))
-        except ValueError as exc:  # JSON or UTF-8
-            raise ConfigError(f"checkpoint.config: invalid JSON: {exc}") from None
-        if not isinstance(values, dict):
-            raise ConfigError("checkpoint.config: expected an object")
-        check_config_fields(values, "checkpoint.config")
-        config = AfcConfig(**values)
-        model = AfcModel(config, seed=0)
-        for name, p in model.parameters():
-            raw = fh.read(8 * p.size)
-            if len(raw) != 8 * p.size:
-                raise ConfigError(f"checkpoint truncated at parameter {name}")
-            p.data = np.frombuffer(raw, dtype="<f8").reshape(p.shape).copy()
-        if fh.read(1):
-            raise ConfigError("trailing bytes after the last parameter")
+    version = raw[len(_CKPT_NAME):len(_CKPT_MAGIC)] if raw.startswith(_CKPT_NAME) else b""
+    if version != bytes([_CKPT_VERSION]):
+        raise ConfigError(
+            f"checkpoint format version {version[0]}: this build reads version {_CKPT_VERSION}"
+            if version else "not a codec checkpoint (bad magic)"
+        )
+    header = len(_CKPT_MAGIC) + 4
+    if len(raw) < header + _CKPT_DIGEST:
+        raise ConfigError("checkpoint truncated in the header")
+    body = raw[:-_CKPT_DIGEST]
+    if hashlib.sha256(body).digest() != raw[-_CKPT_DIGEST:]:
+        raise ConfigError("checkpoint digest mismatch: the file is corrupt or cut short")
+    offset = header + struct.unpack_from("<I", body, len(_CKPT_MAGIC))[0]
+    try:
+        values = json.loads(body[header:offset].decode("utf-8"))
+    except ValueError as exc:  # JSON or UTF-8
+        raise ConfigError(f"checkpoint.config: invalid JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise ConfigError("checkpoint.config: expected an object")
+    check_config_fields(values, "checkpoint.config")
+    model = AfcModel(AfcConfig(**values), seed=0)
+    held, needed = len(body) - offset, 8 * sum(p.size for _, p in model.parameters())
+    if held != needed:
+        raise ConfigError(f"checkpoint holds {held} weight bytes, its config needs {needed}")
+    flat = np.frombuffer(body, "<f8", offset=offset)
+    for _, p in model.parameters():
+        p.data, flat = flat[:p.size].reshape(p.shape).copy(), flat[p.size:]
     return model

@@ -290,7 +290,7 @@ def validate_params(kind: str, params: dict) -> dict:
             shown = value if value is None or isinstance(value, float) else type(value).__name__
             raise ConfigError(f"params.{key}: expected {spec.type}, got {shown}")
         out[key] = value
-    if kind in ("train", "gradcheck", "complexity") and out["model"]:
+    if "model" in schema and out["model"]:
         check_config_fields(out["model"], "params.model")
     for key, spec in schema.items():
         if spec.choices and out[key] not in spec.choices:
@@ -353,7 +353,16 @@ def _timing_from_params(p: dict) -> TimingParams:
     return TimingParams(p["delta_ms"], p["delta_tilde_ms"], p["rounds"], p["min_forward_ms"])
 
 
+def _require_pipelined_rounds(p: dict) -> None:
+    """The pipelined schedule needs two rounds; say so with the key path."""
+    if p["rounds"] < 2:
+        raise ConfigError(
+            f"params.rounds: the pipelined schedule needs rounds >= 2, got {p['rounds']}"
+        )
+
+
 def _run_latency(p: dict, seed, out: Path) -> list[str]:
+    _require_pipelined_rounds(p)
     t = _timing_from_params(p)
     payload = {
         "delta_ms": t.delta,
@@ -370,6 +379,7 @@ def _run_latency(p: dict, seed, out: Path) -> list[str]:
 
 
 def _run_latency_sweep(p: dict, seed, out: Path) -> list[str]:
+    _require_pipelined_rounds(p)
     rows = latency_sweep(
         expand_grid(p["deltas"], "deltas"),
         expand_grid(p["delta_tildes"], "delta_tildes"),
@@ -381,12 +391,16 @@ def _run_latency_sweep(p: dict, seed, out: Path) -> list[str]:
 
 
 def _run_timeline(p: dict, seed, out: Path) -> list[str]:
-    jitter = None
-    if p["jitter"]:
-        try:
-            jitter = {int(k): float(v) for k, v in p["jitter"].items()}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"params.jitter: {exc}") from exc
+    if p["mode"] == "async":
+        _require_pipelined_rounds(p)
+    round_of = {str(t): t for t in range(p["rounds"])}
+    jitter = {}
+    for key, value in (p["jitter"] or {}).items():
+        if key not in round_of:
+            raise ConfigError(f"params.jitter.{key}: not a round index in 0..{p['rounds'] - 1}")
+        if not (_finite_number(value) and value >= 0):
+            raise ConfigError(f"params.jitter.{key}: expected a finite number >= 0, got {value!r}")
+        jitter[round_of[key]] = float(value)
     tl = simulate_timeline(
         _timing_from_params(p),
         p["mode"],
@@ -405,13 +419,36 @@ def _run_timeline(p: dict, seed, out: Path) -> list[str]:
     return ["timeline.csv", "timeline_summary.json"]
 
 
+def _check_coverage_entry(i: int, entry) -> None:
+    """A `schemes` entry is {scheme, delta_snr_db[, reported_distance_ratio]};
+    anything else is a ConfigError naming params.schemes[i].<key>."""
+    path = f"params.schemes[{i}]"
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(entry).__name__}")
+    for key in entry:
+        if key not in ("scheme", "delta_snr_db", "reported_distance_ratio"):
+            raise ConfigError(f"{path}.{key}: unknown key")
+    for key in ("scheme", "delta_snr_db"):
+        if key not in entry:
+            raise ConfigError(f"{path}.{key}: required")
+    if not isinstance(entry["scheme"], str):
+        raise ConfigError(f"{path}.scheme: expected a string, got {entry['scheme']!r}")
+    delta = entry["delta_snr_db"]
+    if not _finite_number(delta):
+        raise ConfigError(f"{path}.delta_snr_db: expected a finite number, got {delta!r}")
+    ratio = entry.get("reported_distance_ratio")
+    if "reported_distance_ratio" in entry and not (_finite_number(ratio) and ratio > 0):
+        raise ConfigError(
+            f"{path}.reported_distance_ratio: expected a finite number > 0, got {ratio!r}"
+        )
+
+
 def _run_coverage(p: dict, seed, out: Path) -> list[str]:
+    if p["exponent"] <= 0:
+        raise ConfigError(f"params.exponent: must be > 0, got {p['exponent']}")
     reports = []
     for i, entry in enumerate(p["schemes"]):
-        if not isinstance(entry, dict) or "scheme" not in entry or "delta_snr_db" not in entry:
-            raise ConfigError(
-                f"params.schemes[{i}]: need at least scheme and delta_snr_db"
-            )
+        _check_coverage_entry(i, entry)
         reports.append(
             coverage_report(
                 entry["scheme"],
@@ -428,8 +465,7 @@ def _run_complexity(p: dict, seed, out: Path) -> list[str]:
     overrides = dict(p["model"] or {})
     overrides.pop("lightweight", None)
     full_cfg = AfcConfig(**overrides)
-    light_overrides = {"sparse_ff_window": 2, **overrides, "lightweight": True}
-    light_cfg = AfcConfig(**light_overrides)
+    light_cfg = dataclasses.replace(AfcConfig.default_light(), **overrides)
     full, light = count_complexity(full_cfg), count_complexity(light_cfg)
 
     def _enc_enumeration(cfg):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -429,18 +431,24 @@ def test_checkpoint_corruption_detected(tmp_path):
             load_checkpoint(truncated)
 
 
+def _sealed(body: bytes) -> bytes:
+    """A checkpoint's bytes before its digest, followed by their SHA-256."""
+    return body + hashlib.sha256(body).digest()
+
+
 def test_checkpoint_config_errors_name_the_key(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(AfcModel(TINY, seed=29), path)
     raw = path.read_bytes()
-    head = len(b"FBCLAB-CKPT\x01")
+    head = len(b"FBCLAB-CKPT\x02")
     (size,) = struct.unpack("<I", raw[head:head + 4])
     config = json.loads(raw[head + 4:head + 4 + size])
-    weights = raw[head + 4 + size:]
+    weights = raw[head + 4 + size:-32]
 
     def with_config(blob: bytes):
+        # The edited config, then the digest sealed again over it.
         edited = tmp_path / "edited.ckpt"
-        edited.write_bytes(raw[:head] + struct.pack("<I", len(blob)) + blob + weights)
+        edited.write_bytes(_sealed(raw[:head] + struct.pack("<I", len(blob)) + blob + weights))
         return edited
 
     assert load_checkpoint(with_config(json.dumps(config).encode())).config == TINY
@@ -452,3 +460,53 @@ def test_checkpoint_config_errors_name_the_key(tmp_path):
         load_checkpoint(with_config(b'{"block_size": 3,'))
     with pytest.raises(ConfigError, match=r"^checkpoint\.config: expected an object"):
         load_checkpoint(with_config(b"[3]"))
+
+
+@pytest.mark.parametrize("where", ["weight", "config", "digest"])
+def test_checkpoint_flipped_bit_detected(where, tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(AfcModel(TINY, seed=30), path)
+    raw = bytearray(path.read_bytes())
+    (size,) = struct.unpack("<I", raw[12:16])
+    start = 16 + size
+    middle = start + (len(raw) - 32 - start) // 16 * 8
+    # The exponent byte of the middle weight, a byte of the config echo, or
+    # the last byte of the digest.
+    index = {"weight": middle + 7, "config": 20, "digest": -1}[where]
+    raw[index] ^= 0x10
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ConfigError, match="^checkpoint digest mismatch"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_format_version_one_named(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(AfcModel(TINY, seed=31), path)
+    # Version 1 had the same layout with version byte 1 and no digest.
+    path.write_bytes(b"FBCLAB-CKPT\x01" + path.read_bytes()[12:-32])
+    with pytest.raises(
+        ConfigError, match=r"^checkpoint format version 1: this build reads version 2$"
+    ):
+        load_checkpoint(path)
+
+
+def test_checkpoint_built_from_the_documented_layout_loads_bit_exact(tmp_path):
+    # The README's layout: magic and version byte, the config echo's length
+    # as a little-endian u32, the echo, every weight as little-endian float64
+    # in declaration order, then the SHA-256 of all bytes before it.
+    model = AfcModel(TINY, seed=32)
+    echo = json.dumps(asdict(TINY)).encode()
+    weights = b"".join(p.data.astype("<f8").tobytes() for _, p in model.parameters())
+    path = tmp_path / "by_hand.ckpt"
+    path.write_bytes(_sealed(b"FBCLAB-CKPT\x02" + struct.pack("<I", len(echo)) + echo + weights))
+    clone = load_checkpoint(path)
+    assert clone.config == TINY
+    for (n1, p1), (n2, p2) in zip(model.parameters(), clone.parameters()):
+        assert n1 == n2 and p1.data.tobytes() == p2.data.tobytes()
+    # A sealed file whose weights do not fill its config.
+    path.write_bytes(_sealed(b"FBCLAB-CKPT\x02" + struct.pack("<I", len(echo)) + echo + weights[:-8]))
+    needed = len(weights)
+    with pytest.raises(
+        ConfigError, match=rf"^checkpoint holds {needed - 8} weight bytes, its config needs {needed}$"
+    ):
+        load_checkpoint(path)

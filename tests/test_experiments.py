@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import platform
@@ -476,6 +477,67 @@ def test_timeline_experiment(tmp_path):
     assert lines[0] == "round,kind,time_ms"
 
 
+def _rejected_everywhere(kind, params, flags, message, tmp_path, capsys):
+    """ConfigError from run_experiment and exit 2 from the CLI, both with
+    `message` and no output directory."""
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        run_experiment(ExperimentConfig(kind, params, 1, str(tmp_path / "run")))
+    assert not (tmp_path / "run").exists()
+    assert main([kind, *flags, "--seed", "1", "--out", str(tmp_path / "cli")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
+
+
+@pytest.mark.parametrize("entry, key", [
+    ({"scheme": "x", "delta_snr_db": float("nan")}, "delta_snr_db"),
+    ({"scheme": "x", "delta_snr_db": "1e400"}, "delta_snr_db"),
+    ({"scheme": "x"}, "delta_snr_db"),
+    ({"scheme": "x", "delta_snr_db": 1.0, "reported_distance_ratio": "abc"}, "reported_distance_ratio"),
+    ({"scheme": "x", "delta_snr_db": 1.0, "reported_distance_ratio": 0}, "reported_distance_ratio"),
+    ({"scheme": "x", "delta_snr_db": 1.0, "reported_distance_ratio": None}, "reported_distance_ratio"),
+    ({"scheme": "x", "delta_snr_db": 1.0, "extra": 2}, "extra"),
+    ({"delta_snr_db": 1.0}, "scheme"),
+    ({"scheme": 3, "delta_snr_db": 1.0}, "scheme"),
+], ids=["delta-nan", "delta-string", "delta-missing", "ratio-string", "ratio-zero", "ratio-null",
+        "extra-key", "scheme-missing", "scheme-int"])
+def test_malformed_coverage_entry_rejected(entry, key, tmp_path, capsys):
+    schemes = [{"scheme": "fine", "delta_snr_db": 3}, entry]
+    _rejected_everywhere("coverage", {"schemes": schemes}, ["--schemes", json.dumps(schemes)],
+                         f"params.schemes[1].{key}: ", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("value", ["nan", "12", True, -100, float("inf"), None])
+def test_jitter_must_be_a_finite_non_negative_number(value, tmp_path, capsys):
+    jitter = {"5": value}
+    _rejected_everywhere("timeline", {"jitter": jitter}, ["--jitter", json.dumps(jitter)],
+                         "params.jitter.5: expected a finite number >= 0", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("key", ["9", "50", "-1", "05", "x"])
+def test_jitter_key_must_be_a_round_index(key, tmp_path, capsys):
+    jitter = {key: 10}
+    _rejected_everywhere("timeline", {"jitter": jitter}, ["--jitter", json.dumps(jitter)],
+                         f"params.jitter.{key}: not a round index in 0..8", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("latency", "rounds", 1),
+    ("latency-sweep", "rounds", 1),
+    ("timeline", "rounds", 1),
+    ("coverage", "exponent", 0.0),
+    ("coverage", "exponent", -3.0),
+])
+def test_value_outside_the_domain_is_a_config_error(kind, key, value, tmp_path, capsys):
+    # The library functions raise InputDomainError here, which would exit 1.
+    flags = ["--" + key, str(value)]
+    _rejected_everywhere(kind, {key: value}, flags, f"params.{key}: ", tmp_path, capsys)
+
+
+def test_lock_step_timeline_runs_one_round(tmp_path):
+    run_experiment(ExperimentConfig("timeline", {"mode": "sync", "rounds": 1}, None, str(tmp_path)))
+    assert json.loads((tmp_path / "timeline_summary.json").read_text())["skipped_rounds"] == []
+
+
 def test_train_experiment_writes_everything(tmp_path):
     run_experiment(
         ExperimentConfig(
@@ -565,15 +627,30 @@ def test_cli_checkpoint_with_unknown_config_key_exits_two(tmp_path, capsys):
     save_checkpoint(AfcModel(AfcConfig.tiny(block_size=1, num_blocks=2), seed=8), path)
     raw = path.read_bytes()
     # A key renamed in place, at the same length, so the header's length
-    # field still holds.
-    old, renamed = b'"use_positions": false', b'"old_key_positions": 0'
+    # field still holds; then the digest is sealed again over the edit.
+    old, renamed = b'"sparse_ff_window": null', b'"old_key_positions": 0.0'
     assert raw.count(old) == 1 and len(renamed) == len(old)
-    path.write_bytes(raw.replace(old, renamed))
+    body = raw[:-32].replace(old, renamed)
+    path.write_bytes(body + hashlib.sha256(body).digest())
     out = tmp_path / "cli"
     code = main(["per-sweep", "--scheme", "neural", "--checkpoint", str(path), "--snr-grid", "[0]",
                  "--seed", "1", "--out", str(out)])
     assert code == 2
     assert "checkpoint.config.old_key_positions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw[:-100] + bytes([raw[-100] ^ 0x40]) + raw[-99:], "checkpoint digest mismatch"),
+    (lambda raw: b"FBCLAB-CKPT\x01" + raw[12:-32],
+     "checkpoint format version 1: this build reads version 2"),
+], ids=["flipped-weight-bit", "version-1"])
+def test_cli_corrupt_or_old_checkpoint_exits_two(edit, message, tmp_path, capsys):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(AfcModel(AfcConfig.tiny(block_size=1, num_blocks=2), seed=8), path)
+    path.write_bytes(edit(path.read_bytes()))
+    params = {"scheme": "neural", "checkpoint": str(path), "snr_grid": [0.0]}
+    flags = ["--scheme", "neural", "--checkpoint", str(path), "--snr-grid", "[0]"]
+    _rejected_everywhere("per-sweep", params, flags, message, tmp_path, capsys)
 
 
 def test_cli_checkpoint_cut_inside_the_header_exits_two(tmp_path, capsys):
