@@ -37,7 +37,7 @@ from .analysis import coverage_report, fpga_report, fpga_report_csv
 from .channel import MeanRevertingTrace, PiecewiseTrace
 from .errors import ConfigError, NumericalFailure
 from .gradcheck import run_gradient_checks
-from .harq import HarqConfig, harq_trial_fn, uncoded_bpsk_trial_fn
+from .harq import CRC16_LEN, HarqConfig, harq_trial_fn, uncoded_bpsk_trial_fn
 from .per import measure_per, usable_cpus, write_per_csv
 from .pipeline import (
     TimingParams,
@@ -58,7 +58,6 @@ from .training import (
     GaussianAnchor,
     LinearDecay,
     TrainConfig,
-    evaluate_robustness,
     neural_trial_fn,
     train,
     write_history_csv,
@@ -70,7 +69,8 @@ OUTPUT_DIR_ENV = "FBCLAB_OUT"
 # A key's `read_if` conditions each map the filled-in params to None when
 # met, else to the setting that skips the key; a run reads the key while
 # every condition holds, and the first unmet one names why it does not.
-# `choices` lists the values a selector key may take.
+# `choices` lists the values a selector key may take, and `minimum` the
+# least value a numeric key may take.
 @dataclass
 class ParamSpec:
     type: str  # number | int | bool | string | list | dict
@@ -78,6 +78,7 @@ class ParamSpec:
     help: str
     choices: tuple = ()
     read_if: tuple = ()
+    minimum: int | None = None
 
 
 def _chosen(key: str, *choices: str):
@@ -86,34 +87,35 @@ def _chosen(key: str, *choices: str):
 
 _HARQ, _NEURAL = (_chosen("scheme", "harq-cc"),), (_chosen("scheme", "neural"),)
 _CODED = (_chosen("scheme", "harq-cc", "uncoded"),)
-_EVAL = (lambda p: None if p["eval_snr_grid"] is not None else "a run without eval_snr_grid",)
 _CURRICULUM = (lambda p: None if p["fixed_snr_db"] is None else "a run at fixed_snr_db",)
 _LINEAR = (*_CURRICULUM, _chosen("alpha_schedule", "linear"))
 _EXPONENTIAL = (*_CURRICULUM, _chosen("alpha_schedule", "exponential"))
 
 
-def _timing_keys() -> dict[str, ParamSpec]:
+def _timing_keys(min_rounds: int) -> dict[str, ParamSpec]:
+    """The session timing keys; a pipelined schedule needs two rounds."""
     return {
         "delta_ms": ParamSpec(
-            "number", 10.0, "forward interval: encode, then transmit for min(delta_ms, min_forward_ms)"
+            "number", 10.0, "forward interval: encode, then transmit for min(delta_ms, min_forward_ms)",
+            minimum=0,
         ),
-        "delta_tilde_ms": ParamSpec("number", 4.0, "feedback interval"),
-        "rounds": ParamSpec("int", 9, "rounds per session"),
-        "min_forward_ms": ParamSpec("number", 1.0, "minimum forward air time"),
+        "delta_tilde_ms": ParamSpec("number", 4.0, "feedback interval", minimum=0),
+        "rounds": ParamSpec("int", 9, "rounds per session", minimum=min_rounds),
+        "min_forward_ms": ParamSpec("number", 1.0, "minimum forward air time", minimum=0),
     }
 
 
 SCHEMAS: dict[str, dict[str, ParamSpec]] = {
-    "latency": _timing_keys(),
+    "latency": _timing_keys(2),
     "latency-sweep": {
         "deltas": ParamSpec("list", [1.0, 30.0, 1.0], "forward sweep [start, stop, step] or explicit list"),
         "delta_tildes": ParamSpec("list", [4.0], "feedback sweep [start, stop, step] or explicit list"),
         # the two grids stand for delta_ms and delta_tilde_ms
-        **{key: _timing_keys()[key] for key in ("rounds", "min_forward_ms")},
+        **{key: _timing_keys(2)[key] for key in ("rounds", "min_forward_ms")},
     },
     "timeline": {
-        **_timing_keys(),
-        "mode": ParamSpec("string", "async", "sync or async"),
+        **_timing_keys(1),  # an async timeline needs two
+        "mode": ParamSpec("string", "async", "sync or async", choices=("sync", "async")),
         "feedback_lag": ParamSpec("int", 2, "rounds between a transmission and usable feedback"),
         "jitter": ParamSpec("dict", None, "extra encode ms per round, e.g. {\"5\": 100}"),
     },
@@ -141,11 +143,11 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
             "string", "harq-cc", "harq-cc | uncoded | neural", choices=("harq-cc", "uncoded", "neural")
         ),
         "snr_grid": ParamSpec("list", [0.0, 10.0, 2.0], "[start, stop, step] or explicit list"),
-        "max_trials": ParamSpec("int", 1_000_000, "trial cap per grid point"),
-        "target_errors": ParamSpec("int", 100, "early-stop error count per point"),
-        "batch_size": ParamSpec("int", 200, "trials per Monte-Carlo batch"),
-        "k": ParamSpec("int", 47, "info bits (harq-cc and uncoded schemes)", read_if=_CODED),
-        "harq_max_attempts": ParamSpec("int", 3, "attempt budget", read_if=_HARQ),
+        "max_trials": ParamSpec("int", 1_000_000, "trial cap per grid point", minimum=100),
+        "target_errors": ParamSpec("int", 100, "early-stop error count per point", minimum=1),
+        "batch_size": ParamSpec("int", 200, "trials per Monte-Carlo batch", minimum=1),
+        "k": ParamSpec("int", 47, "info bits (harq-cc and uncoded schemes)", read_if=_CODED, minimum=1),
+        "harq_max_attempts": ParamSpec("int", 3, "attempt budget", read_if=_HARQ, minimum=1),
         "harq_use_crc16": ParamSpec("bool", False, "CRC-16 ack instead of genie ack", read_if=_HARQ),
         "checkpoint": ParamSpec("string", None, "codec checkpoint (neural scheme)", read_if=_NEURAL),
         "feedback_snr_db": ParamSpec(
@@ -161,8 +163,8 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
     },
     "train": {
         "model": ParamSpec("dict", None, "codec config overrides (see AfcConfig)"),
-        "steps": ParamSpec("int", 1000, "optimizer steps"),
-        "batch_size": ParamSpec("int", 64, "sessions per step"),
+        "steps": ParamSpec("int", 1000, "optimizer steps", minimum=1),
+        "batch_size": ParamSpec("int", 64, "sessions per step", minimum=1),
         "learning_rate": ParamSpec("number", 1e-3, "Adam step size"),
         "adam_beta1": ParamSpec("number", 0.9, "Adam first-moment decay"),
         "adam_beta2": ParamSpec("number", 0.999, "Adam second-moment decay"),
@@ -171,10 +173,10 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
         "noiseless_uplink": ParamSpec("bool", False, "disable uplink noise"),
         "feedback_snr_db": ParamSpec("number", None, "AWGN feedback SNR (default: ideal feedback)"),
         "orig_mean_db": ParamSpec("number", 8.0, "benign anchor mean", read_if=_CURRICULUM),
-        "orig_std_db": ParamSpec("number", 1.0, "benign anchor std", read_if=_CURRICULUM),
+        "orig_std_db": ParamSpec("number", 1.0, "benign anchor std", read_if=_CURRICULUM, minimum=0),
         "targ_mean_db": ParamSpec("number", 0.0, "harsh anchor mean", read_if=_CURRICULUM),
-        "targ_std_db": ParamSpec("number", 1.0, "harsh anchor std", read_if=_CURRICULUM),
-        "sigma_p": ParamSpec("number", 1.0, "perturbation std", read_if=_CURRICULUM),
+        "targ_std_db": ParamSpec("number", 1.0, "harsh anchor std", read_if=_CURRICULUM, minimum=0),
+        "sigma_p": ParamSpec("number", 1.0, "perturbation std", read_if=_CURRICULUM, minimum=0),
         "alpha_schedule": ParamSpec(
             "string", "linear", "linear | exponential",
             choices=("linear", "exponential"), read_if=_CURRICULUM,
@@ -184,9 +186,6 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
             "int", None, "step where linear decay reaches 0 (default: steps)", read_if=_LINEAR
         ),
         "alpha_rate": ParamSpec("number", 0.005, "exponential decay rate", read_if=_EXPONENTIAL),
-        "eval_snr_grid": ParamSpec("list", None, "optional post-training PER grid"),
-        "eval_max_trials": ParamSpec("int", 2000, "PER trial cap per point", read_if=_EVAL),
-        "eval_target_errors": ParamSpec("int", 100, "PER early-stop errors", read_if=_EVAL),
     },
 }
 
@@ -275,7 +274,7 @@ def validate_params(kind: str, params: dict) -> dict:
     only finite numbers. Giving a key the run will not read, given the other
     settings, is a ConfigError, and the validated params keep only the keys
     the run reads, so the manifest and the config hash state only settings
-    the run uses.
+    the run uses. A key the run reads takes no value below its `minimum`.
     """
     if kind not in SCHEMAS:
         raise ConfigError(f"kind: unknown experiment kind {kind!r}")
@@ -304,6 +303,10 @@ def validate_params(kind: str, params: dict) -> dict:
         if key in unread:
             raise ConfigError(f"params.{key}: {unread[key]} does not read it")
     out = {key: value for key, value in out.items() if key not in unread}
+    for key, value in out.items():
+        low = schema[key].minimum
+        if low is not None and value < low:
+            raise ConfigError(f"params.{key}: must be >= {low}, got {value}")
     if kind == "per-sweep" and out.get("uplink_trace") is not None:
         _trace_kind(out["uplink_trace"])
     return out
@@ -315,10 +318,11 @@ def require_seed(config: ExperimentConfig) -> int:
     return config.seed
 
 
-def expand_grid(spec, name: str) -> list[float]:
+def expand_grid(spec, name: str, minimum: float | None = None) -> list[float]:
     """A 3-element [start, stop, step] is an inclusive range; else a list.
 
-    Every entry must be a finite number.
+    Every entry must be a finite number, and every value of the grid at
+    least `minimum` when one is given.
     """
     if not isinstance(spec, list) or not spec:
         raise ConfigError(f"params.{name}: expected a non-empty list")
@@ -332,7 +336,9 @@ def expand_grid(spec, name: str) -> list[float]:
         n = int(np.floor((stop - start) / step + 1e-9)) + 1
         if n < 1:
             raise ConfigError(f"params.{name}: empty range")
-        return [start + i * step for i in range(n)]
+        values = [start + i * step for i in range(n)]
+    if minimum is not None and min(values) < minimum:
+        raise ConfigError(f"params.{name}: every value must be >= {minimum}, got {min(values)}")
     return values
 
 
@@ -353,16 +359,14 @@ def _timing_from_params(p: dict) -> TimingParams:
     return TimingParams(p["delta_ms"], p["delta_tilde_ms"], p["rounds"], p["min_forward_ms"])
 
 
-def _require_pipelined_rounds(p: dict) -> None:
-    """The pipelined schedule needs two rounds; say so with the key path."""
-    if p["rounds"] < 2:
-        raise ConfigError(
-            f"params.rounds: the pipelined schedule needs rounds >= 2, got {p['rounds']}"
-        )
+def _require_positive(p: dict, *keys: str) -> None:
+    """Each of `keys` the run reads must be > 0; say so with the key path."""
+    for key in keys:
+        if key in p and p[key] <= 0:
+            raise ConfigError(f"params.{key}: must be > 0, got {p[key]}")
 
 
 def _run_latency(p: dict, seed, out: Path) -> list[str]:
-    _require_pipelined_rounds(p)
     t = _timing_from_params(p)
     payload = {
         "delta_ms": t.delta,
@@ -379,20 +383,19 @@ def _run_latency(p: dict, seed, out: Path) -> list[str]:
 
 
 def _run_latency_sweep(p: dict, seed, out: Path) -> list[str]:
-    _require_pipelined_rounds(p)
-    rows = latency_sweep(
-        expand_grid(p["deltas"], "deltas"),
-        expand_grid(p["delta_tildes"], "delta_tildes"),
-        p["rounds"],
-        p["min_forward_ms"],
-    )
+    deltas, delta_tildes = (expand_grid(p[k], k, minimum=0) for k in ("deltas", "delta_tildes"))
+    rows = latency_sweep(deltas, delta_tildes, p["rounds"], p["min_forward_ms"])
     sweep_to_csv(rows, out / "latency_sweep.csv")
     return ["latency_sweep.csv"]
 
 
 def _run_timeline(p: dict, seed, out: Path) -> list[str]:
     if p["mode"] == "async":
-        _require_pipelined_rounds(p)
+        for key in ("rounds", "feedback_lag"):
+            if p[key] < 2:
+                raise ConfigError(
+                    f"params.{key}: the pipelined schedule needs {key} >= 2, got {p[key]}"
+                )
     round_of = {str(t): t for t in range(p["rounds"])}
     jitter = {}
     for key, value in (p["jitter"] or {}).items():
@@ -444,8 +447,7 @@ def _check_coverage_entry(i: int, entry) -> None:
 
 
 def _run_coverage(p: dict, seed, out: Path) -> list[str]:
-    if p["exponent"] <= 0:
-        raise ConfigError(f"params.exponent: must be > 0, got {p['exponent']}")
+    _require_positive(p, "exponent")
     reports = []
     for i, entry in enumerate(p["schemes"]):
         _check_coverage_entry(i, entry)
@@ -490,6 +492,7 @@ def _run_complexity(p: dict, seed, out: Path) -> list[str]:
 
 
 def _run_gradcheck(p: dict, seed, out: Path) -> list[str]:
+    _require_positive(p, "step", "tolerance")
     overrides = p["model"]
     custom = AfcConfig.tiny(**overrides) if overrides else None
     results = run_gradient_checks(seed, p["step"], p["tolerance"], custom)
@@ -537,6 +540,8 @@ def _trace_kind(trace: dict):
 def _run_per_sweep(p: dict, seed: int, out: Path) -> list[str]:
     grid = expand_grid(p["snr_grid"], "snr_grid")
     scheme = p["scheme"]
+    if p.get("harq_use_crc16") and p["k"] <= CRC16_LEN:
+        raise ConfigError(f"params.k: the CRC-16 needs k > {CRC16_LEN}, got {p['k']}")
     if scheme == "harq-cc":
         trial = harq_trial_fn(HarqConfig(p["k"], p["harq_max_attempts"], p["harq_use_crc16"]))
     elif scheme == "uncoded":
@@ -584,6 +589,7 @@ def _curriculum(p: dict) -> CurriculumConfig:
 
 
 def _run_train(p: dict, seed: int, out: Path) -> list[str]:
+    _require_positive(p, "learning_rate", "alpha_rate")
     model = AfcModel(AfcConfig(**(p["model"] or {})), seed=seed)
     tc = TrainConfig(
         steps=p["steps"],
@@ -597,8 +603,6 @@ def _run_train(p: dict, seed: int, out: Path) -> list[str]:
         noiseless_uplink=p["noiseless_uplink"],
         feedback_snr_db=p["feedback_snr_db"],
     )
-    grid = p["eval_snr_grid"]
-    eval_grid = expand_grid(grid, "eval_snr_grid") if grid is not None else None
     try:
         history = train(model, _curriculum(p), tc)
     except NumericalFailure as exc:
@@ -610,19 +614,7 @@ def _run_train(p: dict, seed: int, out: Path) -> list[str]:
         raise
     write_history_csv(history, out / "history.csv")
     save_checkpoint(model, out / "model.ckpt")
-    outputs = ["history.csv", "model.ckpt"]
-    if eval_grid:
-        points = evaluate_robustness(
-            model,
-            eval_grid,
-            max_trials=p["eval_max_trials"],
-            target_errors=p["eval_target_errors"],
-            seed=seed,
-            feedback_snr_db=p["feedback_snr_db"],
-        )
-        write_per_csv(points, out / "per.csv")
-        outputs.append("per.csv")
-    return outputs
+    return ["history.csv", "model.ckpt"]
 
 
 _RUNNERS = {
@@ -643,10 +635,10 @@ def default_out_dir() -> str:
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Validate, run, and write outputs plus a manifest; returns the manifest."""
-    params = validate_params(config.kind, config.params)
     seed = config.seed
     if seed is not None and not (_TYPE_CHECKS["int"](seed) and seed >= 0):
         raise ConfigError(f"seed: expected a non-negative integer, got {seed!r}")
+    params = validate_params(config.kind, config.params)
     if config.kind in STOCHASTIC_KINDS:
         seed = require_seed(config)
     out = Path(config.out_dir or default_out_dir())

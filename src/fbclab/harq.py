@@ -101,7 +101,11 @@ def _draw_payload(config: HarqConfig, rng: np.random.Generator, n: int) -> np.nd
 def harq_cc_trial_batch(
     config: HarqConfig, snr_db: float, rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """Run n independent HARQ sessions; returns per-trial success flags."""
+    """Run n independent HARQ sessions; returns per-trial success flags.
+
+    A session stops at its first ACK and succeeds if the bits it decoded
+    then are the bits sent.
+    """
     bits = _draw_payload(config, rng, n)
     symbols = modulate_bpsk(conv_encode_batch(bits))
     sigma = noise_sigma(snr_db)
@@ -116,12 +120,13 @@ def harq_cc_trial_batch(
         if idx.size == 0:
             break
         decoded = viterbi_decode_batch(combined[idx])
+        correct = np.all(decoded == bits[idx], axis=1)
         if config.use_crc16:
-            ok = np.all(crc16(decoded[:, :-CRC16_LEN]) == decoded[:, -CRC16_LEN:], axis=1)
+            acked = np.all(crc16(decoded[:, :-CRC16_LEN]) == decoded[:, -CRC16_LEN:], axis=1)
         else:
-            ok = np.all(decoded == bits[idx], axis=1)
-        success[idx[ok]] = True
-        active[idx[ok]] = False
+            acked = correct
+        success[idx] = acked & correct
+        active[idx[acked]] = False
     return success
 
 

@@ -21,7 +21,6 @@ from .afc import AfcModel, forward_backward, logits_to_bits, session_graph
 from .channel import TraceKind, sample_traces
 from .errors import ConfigError, NumericalFailure
 from .layers import Module
-from .per import PerPoint, measure_per, usable_cpus
 from .results import emit_results
 
 HISTORY_CSV_HEADER = ["step", "loss", "alpha", "mean_snr_db"]
@@ -225,24 +224,3 @@ def neural_trial_fn(
         return np.all(logits_to_bits(logits.data) == bits, axis=1)
 
     return trial
-
-
-def evaluate_robustness(
-    model: AfcModel,
-    snr_grid,
-    max_trials: int = 2000,
-    target_errors: int = 100,
-    seed: int = 0,
-    feedback_snr_db: float | None = None,
-) -> list[PerPoint]:
-    """PER with confidence intervals across an SNR grid, one grid point per
-    usable CPU at a time."""
-    return measure_per(
-        neural_trial_fn(model, feedback_snr_db),
-        snr_grid,
-        max_trials=max_trials,
-        target_errors=target_errors,
-        seed=seed,
-        batch_size=256,
-        threads=usable_cpus(),
-    )

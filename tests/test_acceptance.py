@@ -24,7 +24,7 @@ from fbclab.afc import (
 from fbclab.autodiff import Tensor
 from fbclab.convcode import bpsk_llr, modulate_bpsk
 from fbclab.harq import HarqConfig, effective_snr_db, harq_trial_fn
-from fbclab.per import measure_per
+from fbclab.per import measure_per, usable_cpus
 from fbclab.pipeline import (
     TimingParams,
     async_delta_prime,
@@ -40,8 +40,8 @@ from fbclab.training import (
     GaussianAnchor,
     LinearDecay,
     TrainConfig,
-    evaluate_robustness,
     mixture_cdf,
+    neural_trial_fn,
     sample_train_snr,
     train,
 )
@@ -254,9 +254,11 @@ def test_criterion_10_training_robustness(trained_models):
     )
     smoke_ok = hist[-1].loss < 0.5 * hist[0].loss
 
-    cur_model, fix_model = trained_models
-    cur = evaluate_robustness(cur_model, EVAL_GRID, max_trials=1500, target_errors=75, seed=11)
-    fix = evaluate_robustness(fix_model, EVAL_GRID, max_trials=1500, target_errors=75, seed=11)
+    cur, fix = (
+        measure_per(neural_trial_fn(model), EVAL_GRID, max_trials=1500, target_errors=75, seed=11,
+                    batch_size=256, threads=usable_cpus())
+        for model in trained_models
+    )
     monotone_ok = all(
         cur[i + 1].ci_low <= cur[i].ci_high for i in range(len(EVAL_GRID) - 1)
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fbclab import harq
 from fbclab.convcode import bpsk_llr, modulate_bpsk
 from fbclab.errors import ConfigError
 from fbclab.harq import (
@@ -116,6 +117,26 @@ def test_crc16_mode_runs():
     assert harq_cc_trial_batch(first, 30.0, np.random.default_rng(4), 20).all()
     ok = harq_cc_trial_batch(cfg, 30.0, np.random.default_rng(5), 50)
     assert ok.all()
+
+
+def test_crc_acked_session_with_wrong_bits_is_an_error(monkeypatch):
+    # A decoder that returns, for each session, the sent payload with its
+    # first data bit flipped and its CRC recomputed: every check passes.
+    cfg = HarqConfig(k=47, max_attempts=3, use_crc16=True)
+    sent = _draw_payload(cfg, np.random.default_rng(4), 20)  # the batch's first draw
+    wrong = sent.copy()
+    wrong[:, 0] ^= 1
+    wrong[:, -CRC16_LEN:] = crc16(wrong[:, :-CRC16_LEN])
+    decoded_sessions = []
+
+    def decode(llrs):
+        decoded_sessions.append(len(llrs))
+        return wrong[: len(llrs)]
+
+    monkeypatch.setattr(harq, "viterbi_decode_batch", decode)
+    ok = harq_cc_trial_batch(cfg, 30.0, np.random.default_rng(4), 20)
+    assert not ok.any()
+    assert decoded_sessions == [20]  # every session stops at its (false) ACK
 
 
 def test_config_validation():

@@ -186,23 +186,28 @@ def test_no_global_statement():
 
 
 def _definitions(tree: ast.AST):
-    """(line, name) of every module-level function and class, and of every
-    method and property of a module-level class; dunders are called
-    implicitly and are skipped."""
+    """(line, name) of every module-level function, class and assigned name,
+    and of every method and property of a module-level class; dunders are
+    read implicitly and are skipped."""
+    found = []
     for node in tree.body:
         members = node.body if isinstance(node, ast.ClassDef) else []
-        for d in [node] + members:
-            if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not (
-                d.name.startswith("__") and d.name.endswith("__")
-            ):
-                yield d.lineno, d.name
+        found += [(d.lineno, d.name) for d in [node] + members
+                  if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [(line, name) for line, name in found
+            if not (name.startswith("__") and name.endswith("__"))]
 
 
 def _names_read(tree: ast.AST):
-    """Every name a tree reads, attributes and imports included. String
-    constants count too: code can reach an attribute by its name."""
+    """Every name a tree reads, attributes and imports included; a name it
+    only assigns is not read. String constants count too: code can reach an
+    attribute by its name."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -227,6 +232,7 @@ TEST_REFERENCES = {
     "mixture_cdf": "criterion 08's Kolmogorov-Smirnov reference for the curriculum draws",
     "parse_results": "the reader of the format emit_results writes",
     "sensitivity_from_per_curve": "the first link of the coverage chain that reads PER curves",
+    "TUNABLE_REGISTRY": "the completeness test's map from dataclass fields to schema keys",
 }
 
 
@@ -253,25 +259,27 @@ def test_definition_guard_sees_each_kind_of_use(tmp_path):
         "def called():\n    def nested():\n        pass\ndef idle():\n    pass\n"
         "class Used:\n    def __init__(self):\n        pass\n    @property\n    def prop(self):\n"
         "        pass\n    def by_attr(self):\n        pass\n    def by_string(self):\n        pass\n"
-        "class Idle:\n    pass\n"
+        "class Idle:\n    pass\nIDLE_VALUE: int = 1\nUSED_VALUE, (_, __all__) = 2, (3, [])\n"
     )
     defining = ast.parse(code)
-    reader = ast.parse("called()\nUsed().by_attr()\nsetattr(Used, 'by_string', None)\n")
+    reader = ast.parse(
+        "called()\nUsed().by_attr()\nsetattr(Used, 'by_string', None)\nprint(USED_VALUE, _)\n"
+    )
     found = list(_unreferenced({"m.py": defining}, [defining, reader]))
-    assert found == ["m.py:4: idle", "m.py:10: prop", "m.py:16: Idle"]
-    importer = ast.parse("from m import idle\nimport pkg.Idle\n")
+    assert found == ["m.py:4: idle", "m.py:10: prop", "m.py:16: Idle", "m.py:18: IDLE_VALUE"]
+    importer = ast.parse("from m import idle, IDLE_VALUE\nimport pkg.Idle\n")
     assert list(_unreferenced({"m.py": defining}, [reader, importer])) == ["m.py:10: prop"]
     # Names read only under tests/ stay reported; a listed reference does not.
-    for part, text in [("src", code), ("perfbench", "Used().by_attr()\ncalled()\n"),
-                       ("tests", "from m import idle\nassert Idle().prop\n")]:
+    for part, text in [("src", code), ("perfbench", "Used().by_attr()\ncalled(USED_VALUE, _)\n"),
+                       ("tests", "from m import idle\nassert Idle().prop == IDLE_VALUE\n")]:
         (tmp_path / part).mkdir()
         (tmp_path / part / "m.py").write_text(text)
     readers = _program_readers(tmp_path)
     assert list(_unreferenced({"m.py": defining}, readers)) == [
-        "m.py:4: idle", "m.py:10: prop", "m.py:14: by_string", "m.py:16: Idle"
+        "m.py:4: idle", "m.py:10: prop", "m.py:14: by_string", "m.py:16: Idle", "m.py:18: IDLE_VALUE"
     ]
     assert list(_unreferenced({"m.py": defining}, readers, {"idle": "a reason"})) == [
-        "m.py:10: prop", "m.py:14: by_string", "m.py:16: Idle"
+        "m.py:10: prop", "m.py:14: by_string", "m.py:16: Idle", "m.py:18: IDLE_VALUE"
     ]
 
 

@@ -10,6 +10,7 @@ from fbclab.afc import AfcConfig, AfcModel, logits_to_bits, save_checkpoint, ses
 from fbclab.channel import MeanRevertingTrace, PiecewiseTrace, sample_traces
 from fbclab.errors import ConfigError, NumericalFailure
 from fbclab.experiments import ExperimentConfig, run_experiment
+from fbclab.per import measure_per, usable_cpus
 from fbclab.training import (
     Adam,
     CurriculumConfig,
@@ -18,7 +19,6 @@ from fbclab.training import (
     HISTORY_CSV_HEADER,
     LinearDecay,
     TrainConfig,
-    evaluate_robustness,
     mixture_cdf,
     neural_trial_fn,
     sample_train_snr,
@@ -207,7 +207,8 @@ def test_history_csv_format(tmp_path):
 
 def test_untrained_per_is_near_random_guessing():
     model = AfcModel(TINY, seed=7)
-    points = evaluate_robustness(model, [0.0, 20.0], max_trials=512, target_errors=512, seed=7)
+    points = measure_per(neural_trial_fn(model), [0.0, 20.0], max_trials=512, target_errors=512,
+                         seed=7, batch_size=256, threads=usable_cpus())
     expected = 1.0 - (1.0 / TINY.classes) ** TINY.num_blocks
     for p in points:
         assert p.per > expected - 0.05
