@@ -14,10 +14,11 @@ use, and no more:
 backward rule is covered by a finite-difference test.
 
 A node holds only what backward reads: its parent nodes with one backward
-rule each, or, for a leaf (a parameter or a flagged input), the gradient it
-accumulates, which the leaf's `grad` reads. A node never refers to a
-Tensor, so no reference cycle delays freeing a dropped model or graph. A
-rule captures exactly the arrays and shapes its formula reads, never an
+rule each (a leaf, a parameter or a flagged input, has none) and the slot
+where its gradient accumulates. An interior node empties its slot when its
+rules run; a leaf keeps the sum, which its `grad` reads. A node never
+refers to a Tensor, so no reference cycle delays freeing a dropped model or
+graph. A rule captures exactly the arrays and shapes its formula reads, never an
 operand Tensor: a sum keeps shapes, a product with a constant keeps the
 constant, `sqrt` its output, a matmul its operands or their rebuilds
 (below). So an op's output array is freed as soon as no Python name and no
@@ -147,8 +148,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 class _Node:
     """A tape entry: (parent node, backward rule) pairs, or, with no parents,
-    a leaf and the gradient it has accumulated. `rebuilt` caches the
-    output's rebuild within one backward."""
+    a leaf. `grad` accumulates the gradient that arrives at the node: a leaf
+    keeps it, an interior node hands it on when it runs. `rebuilt` caches
+    the output's rebuild within one backward."""
 
     __slots__ = ("parents", "grad", "rebuilt")
 
@@ -201,23 +203,19 @@ class Tensor:
         """Backpropagate from this scalar tensor through the recorded graph.
 
         The graph is kept, so calling backward again adds the same gradients.
+        A graph whose backward raised holds partial sums and must be rebuilt.
         """
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar output")
-        grad = np.ones_like(self.data)
         root = self._node
         if root is None:
             return
-        if not root.parents:
-            root.grad = grad if root.grad is None else root.grad + grad
-            return
 
-        # Topological order of the interior nodes. Gradients are stored only
-        # on leaves (parameters and flagged inputs), which take each
-        # contribution as it arrives; interior nodes just route them.
+        # Topological order of the interior nodes. Each takes its slot when
+        # it runs, so afterwards only leaves hold a gradient.
         order: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[_Node, bool]] = [(root, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)] if root.parents else []
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -231,19 +229,13 @@ class Tensor:
                 if parent.parents and id(parent) not in seen:
                     stack.append((parent, False))
 
-        grads: dict[int, np.ndarray] = {id(root): grad}
+        _accumulate(root, np.ones_like(self.data))
         for node in reversed(order):
             # Every reader of this node's output has run.
             node.rebuilt = None
-            g = grads.pop(id(node))
+            g, node.grad = node.grad, None
             for parent, fn in node.parents:
-                contribution = fn(g)
-                if not parent.parents:
-                    parent.grad = contribution if parent.grad is None else parent.grad + contribution
-                elif id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + contribution
-                else:
-                    grads[id(parent)] = contribution
+                _accumulate(parent, fn(g))
 
     # -- operators ---------------------------------------------------------
 
@@ -325,6 +317,11 @@ class Tensor:
     def mean(self):
         """Mean of every element, a scalar."""
         return self.sum() * (1.0 / self.data.size)
+
+
+def _accumulate(node: _Node, grad: np.ndarray) -> None:
+    """Add grad to the gradient that node has gathered."""
+    node.grad = grad if node.grad is None else node.grad + grad
 
 
 def _make(data: np.ndarray, parents, rebuild=None) -> Tensor:
@@ -563,23 +560,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor, rows=None) -> Tensor:
     scatters their gradient into zeros of w's shape.
     """
     x = as_tensor(x)
-    if rows is None:
-        w_data = w.data
-        out = x @ w
-    else:
-        # The rows enter the product as a constant, and w's rule is added to
-        # this node below, so w's gradient arrives when a full product's
-        # would: a gather node would run later and reorder the sum at w.
-        w_data = w.data[rows]
-        out = x @ Tensor(w_data)
+    # The weight enters the product as a constant and its rule is added to
+    # this node below, after x's: a gather node for rows would run later
+    # and reorder the sum at w.
+    w_data = w.data if rows is None else w.data[rows]
+    out = x @ Tensor(w_data)
     np.add(out.data, b.data, out=out.data)
     rules = ()
-    if rows is not None and w._node is not None and _grad_mode.enabled:
-        left, w_shape = _reader(x), w.data.shape
+    if w._node is not None and _grad_mode.enabled:
+        left, w_shape, n_in = _reader(x), w.data.shape, w_data.shape[0]
 
         def grad_w(g):
+            gw = left().reshape(-1, n_in).T @ g.reshape(-1, g.shape[-1])
+            if rows is None:
+                return gw
             full = np.zeros(w_shape)
-            full[rows] = left().reshape(-1, len(rows)).T @ g.reshape(-1, g.shape[-1])
+            full[rows] = gw
             return full
 
         rules += ((w._node, grad_w),)

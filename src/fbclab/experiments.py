@@ -116,7 +116,10 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
     "timeline": {
         **_timing_keys(1),  # an async timeline needs two
         "mode": ParamSpec("string", "async", "sync or async", choices=("sync", "async")),
-        "feedback_lag": ParamSpec("int", 2, "rounds between a transmission and usable feedback"),
+        "feedback_lag": ParamSpec(
+            "int", 2, "rounds between a transmission and usable feedback",
+            read_if=(_chosen("mode", "async"),), minimum=2,
+        ),
         "jitter": ParamSpec("dict", None, "extra encode ms per round, e.g. {\"5\": 100}"),
     },
     "coverage": {
@@ -166,9 +169,6 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
         "steps": ParamSpec("int", 1000, "optimizer steps", minimum=1),
         "batch_size": ParamSpec("int", 64, "sessions per step", minimum=1),
         "learning_rate": ParamSpec("number", 1e-3, "Adam step size"),
-        "adam_beta1": ParamSpec("number", 0.9, "Adam first-moment decay"),
-        "adam_beta2": ParamSpec("number", 0.999, "Adam second-moment decay"),
-        "adam_eps": ParamSpec("number", 1e-8, "Adam epsilon"),
         "fixed_snr_db": ParamSpec("number", None, "train at one SNR, bypassing the curriculum"),
         "noiseless_uplink": ParamSpec("bool", False, "disable uplink noise"),
         "feedback_snr_db": ParamSpec("number", None, "AWGN feedback SNR (default: ideal feedback)"),
@@ -214,9 +214,6 @@ TUNABLE_REGISTRY: dict[str, dict[str, str]] = {
         "steps": "train.steps",
         "batch_size": "train.batch_size",
         "learning_rate": "train.learning_rate",
-        "adam_beta1": "train.adam_beta1",
-        "adam_beta2": "train.adam_beta2",
-        "adam_eps": "train.adam_eps",
         "seed": "fixed: top-level --seed option shared by every kind",
         "fixed_snr_db": "train.fixed_snr_db",
         "noiseless_uplink": "train.noiseless_uplink",
@@ -390,12 +387,10 @@ def _run_latency_sweep(p: dict, seed, out: Path) -> list[str]:
 
 
 def _run_timeline(p: dict, seed, out: Path) -> list[str]:
-    if p["mode"] == "async":
-        for key in ("rounds", "feedback_lag"):
-            if p[key] < 2:
-                raise ConfigError(
-                    f"params.{key}: the pipelined schedule needs {key} >= 2, got {p[key]}"
-                )
+    if p["mode"] == "async" and p["rounds"] < 2:
+        raise ConfigError(
+            f"params.rounds: the pipelined schedule needs rounds >= 2, got {p['rounds']}"
+        )
     round_of = {str(t): t for t in range(p["rounds"])}
     jitter = {}
     for key, value in (p["jitter"] or {}).items():
@@ -408,7 +403,7 @@ def _run_timeline(p: dict, seed, out: Path) -> list[str]:
         _timing_from_params(p),
         p["mode"],
         inference_jitter=jitter,
-        feedback_lag=p["feedback_lag"],
+        feedback_lag=p.get("feedback_lag", 2),  # the sync schedule does not read it
     )
     timeline_to_csv(tl, out / "timeline.csv")
     write_json(
@@ -595,9 +590,6 @@ def _run_train(p: dict, seed: int, out: Path) -> list[str]:
         steps=p["steps"],
         batch_size=p["batch_size"],
         learning_rate=p["learning_rate"],
-        adam_beta1=p["adam_beta1"],
-        adam_beta2=p["adam_beta2"],
-        adam_eps=p["adam_eps"],
         seed=seed,
         fixed_snr_db=p["fixed_snr_db"],
         noiseless_uplink=p["noiseless_uplink"],

@@ -106,9 +106,6 @@ class TrainConfig:
     steps: int = 1000
     batch_size: int = 64
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     fixed_snr_db: float | None = None  # set -> curriculum bypassed
     noiseless_uplink: bool = False
@@ -122,11 +119,13 @@ class TrainConfig:
 
 
 class Adam:
-    """Adaptive-moment gradient descent with bias correction."""
+    """Adaptive-moment gradient descent with bias correction, at the moment
+    decays and epsilon of Kingma and Ba (2015)."""
+
+    b1, b2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, model: Module, config: TrainConfig):
         self.lr = config.learning_rate
-        self.b1, self.b2, self.eps = config.adam_beta1, config.adam_beta2, config.adam_eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in model.parameters()}
         self.v = {name: np.zeros_like(p.data) for name, p in model.parameters()}

@@ -270,12 +270,22 @@ def test_unknown_alpha_schedule_fails_before_any_file(kind, key, value, tmp_path
         ("latency", "tau_enc_ms", ["--tau-enc-ms", "3"]),
         ("timeline", "tau_fb_ms", ["--tau-fb-ms", "3"]),
         ("complexity", "fpga", ["--no-fpga"]),
+        # Adam's moment decays and epsilon are constants of the optimizer.
+        ("train", "adam_beta1", ["--adam-beta1", "1"]),
+        ("train", "adam_beta2", ["--adam-beta2", "0.5"]),
+        ("train", "adam_eps", ["--adam-eps", "0"]),
     ],
 )
 def test_unread_timing_and_fpga_keys_rejected(kind, key, flags, tmp_path, capsys):
-    with pytest.raises(ConfigError, match=rf"params\.{key}: unknown key for kind '{kind}'"):
+    message = f"params.{key}: unknown key for kind '{kind}'"
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
         run_experiment(ExperimentConfig(kind, {key: 3.0}, None, str(tmp_path / "run")))
     assert not (tmp_path / "run").exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {key: 3.0}}))
+    assert main([kind, "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "cli")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
     with pytest.raises(SystemExit) as exc:
         main([kind, *flags, "--out", str(tmp_path / "cli")])
     assert exc.value.code == 2
@@ -506,13 +516,14 @@ def test_jitter_key_must_be_a_round_index(key, tmp_path, capsys):
                          f"params.jitter.{key}: not a round index in 0..8", tmp_path, capsys)
 
 
-def _domain_case(kind, key, value, **given):
-    """A run of `kind` with `key` at `value`, beside the settings `given`."""
-    return pytest.param(kind, key, value, given,
+def _domain_case(kind, key, value, message="", **given):
+    """A run of `kind` with `key` at `value`, beside the settings `given`,
+    rejected with a message that starts `params.<key>: <message>`."""
+    return pytest.param(kind, key, value, given, message,
                         id="-".join([kind, key, str(value), *(f"{k}={v}" for k, v in given.items())]))
 
 
-@pytest.mark.parametrize("kind, key, value, given", [
+@pytest.mark.parametrize("kind, key, value, given, message", [
     _domain_case("latency", "rounds", 1),
     _domain_case("latency-sweep", "rounds", 1),
     _domain_case("timeline", "rounds", 1),
@@ -524,7 +535,9 @@ def _domain_case(kind, key, value, **given):
     _domain_case("latency-sweep", "deltas", [-1, 2]),
     _domain_case("latency-sweep", "delta_tildes", [-2, 4, 1]),
     _domain_case("timeline", "mode", "bogus"),
-    _domain_case("timeline", "feedback_lag", 1),
+    _domain_case("timeline", "feedback_lag", 1, "must be >= 2, got 1"),
+    _domain_case("timeline", "feedback_lag", 3, "mode 'sync' does not read it", mode="sync"),
+    _domain_case("timeline", "feedback_lag", -5, "mode 'sync' does not read it", mode="sync"),
     _domain_case("per-sweep", "k", 0),
     _domain_case("per-sweep", "k", -2, scheme="uncoded"),
     _domain_case("per-sweep", "k", 0, scheme="uncoded"),
@@ -541,7 +554,8 @@ def _domain_case(kind, key, value, **given):
     _domain_case("train", "sigma_p", -1),
     _domain_case("train", "alpha_rate", -0.1, alpha_schedule="exponential"),
 ])
-def test_value_outside_the_domain_is_a_config_error(kind, key, value, given, tmp_path, capsys):
+def test_value_outside_the_domain_is_a_config_error(kind, key, value, given, message, tmp_path,
+                                                    capsys):
     # Left to the library, these raise errors that name no key or exit 1,
     # or run on and write results.
     params = {**given, key: value}
@@ -549,7 +563,7 @@ def test_value_outside_the_domain_is_a_config_error(kind, key, value, given, tmp
     for name, setting in params.items():
         flag = "--" + name.replace("_", "-")
         flags += [flag] if setting is True else [flag, str(setting)]
-    _rejected_everywhere(kind, params, flags, f"params.{key}: ", tmp_path, capsys)
+    _rejected_everywhere(kind, params, flags, f"params.{key}: {message}", tmp_path, capsys)
 
 
 def test_lock_step_timeline_runs_one_round(tmp_path):
@@ -578,6 +592,19 @@ def test_train_experiment_writes_everything(tmp_path):
 
     model = load_checkpoint(tmp_path / "model.ckpt")
     assert model.config.num_blocks == 4
+
+
+def test_noiseless_uplink_reaches_the_trainer(tmp_path, monkeypatch):
+    seen = []
+
+    def capture(model, curriculum, config):
+        seen.append(config.noiseless_uplink)
+        return []
+
+    monkeypatch.setattr(experiments, "train", capture)
+    for i, given in enumerate([{}, {"noiseless_uplink": True}]):
+        run_experiment(ExperimentConfig("train", {"model": TINY, **given}, 1, str(tmp_path / str(i))))
+    assert seen == [False, True]
 
 
 # -- CLI -------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from fbclab.afc import AfcConfig, AfcModel, save_checkpoint
 from fbclab.analysis import FPGA_CSV_HEADER, fpga_report, fpga_report_csv
-from fbclab.experiments import ExperimentConfig, run_experiment
+from fbclab.experiments import SCHEMAS, ExperimentConfig, run_experiment
 from fbclab.per import PER_CSV_HEADER, PerPoint, read_per_csv, write_per_csv
 from fbclab.pipeline import (
     SWEEP_CSV_HEADER,
@@ -281,6 +281,24 @@ def test_definition_guard_sees_each_kind_of_use(tmp_path):
     assert list(_unreferenced({"m.py": defining}, readers, {"idle": "a reason"})) == [
         "m.py:10: prop", "m.py:14: by_string", "m.py:16: Idle", "m.py:18: IDLE_VALUE"
     ]
+
+
+def _unexercised(schemas: dict, trees: list[ast.AST]) -> list[str]:
+    """kind.key of every schema key that no tree quotes, as a params key or
+    as its --flag; a keyword argument of the same name does not count."""
+    quoted = {node.value for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return sorted(f"{kind}.{key}" for kind, schema in schemas.items() for key in schema
+                  if key not in quoted and "--" + key.replace("_", "-") not in quoted)
+
+
+def test_every_key_is_exercised():
+    # A key that no test gives is a setting whose effect nothing checks.
+    tests = [ast.parse(path.read_text()) for path in sorted(Path(__file__).parent.glob("*.py"))]
+    assert _unexercised(SCHEMAS, tests) == []
+    sample = ast.parse("run({'steps': 1}, ['--batch-size', '2'])\nTrainConfig(seed=1)\n")
+    keys = {"train": dict.fromkeys(["steps", "batch_size", "seed", "sigma_p"])}
+    assert _unexercised(keys, [sample]) == ["train.seed", "train.sigma_p"]
 
 
 # SHA-256 of seeded outputs that involve no inexact BLAS call, pinned from the
