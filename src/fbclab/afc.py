@@ -35,6 +35,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .channel import noise_sigma
 from .errors import ConfigError, NumericalFailure, ProtocolViolation
+from .keys import ParamSpec, check_keys, reported
 from .layers import Linear, Module, SnrMlp, TransformerStack
 from .results import atomic_write
 
@@ -60,17 +61,15 @@ class AfcConfig:
     sparse_ff_window: int | None = None
 
     def __post_init__(self):
-        if self.block_size < 1 or self.num_blocks < 1:
-            raise ConfigError("block_size and num_blocks must be >= 1")
-        for name in ("d_model", "ff_dim", "snr_emb_dim"):
+        for name in ("block_size", "num_blocks", "rounds", "feedback_lag", "d_model", "ff_dim",
+                     "snr_emb_dim"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.rounds < 1 or self.feedback_lag < 1:
-            raise ConfigError("rounds and feedback_lag must be >= 1")
+                raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if self.effective_enc_layers > self.dec_layers:
-            raise ConfigError("encoder depth must not exceed decoder depth")
+            depth = self.effective_enc_layers
+            raise ConfigError(f"enc_layers: encoder depth {depth} exceeds dec_layers {self.dec_layers}")
         if self.sparse_ff_window is not None and self.sparse_ff_window < 0:
-            raise ConfigError("sparse_ff_window must be >= 0")
+            raise ConfigError(f"sparse_ff_window: must be >= 0, got {self.sparse_ff_window}")
 
     # -- derived sizes -------------------------------------------------------
 
@@ -250,27 +249,12 @@ class AfcModel(Module):
         return x, rows + list(range(emb_row, emb_row + emb.shape[-1]))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-_FIELD_CHECKS = {
-    "int": _is_int,
-    "bool": lambda value: isinstance(value, bool),
-    "int | None": lambda value: value is None or _is_int(value),
+# The key table of a `model` override and of a checkpoint's config echo. A
+# field takes null only where its default is null: `int | None` is an int.
+MODEL_KEYS = {
+    f.name: ParamSpec(f.type.removesuffix(" | None"), f.default, "see AfcConfig")
+    for f in fields(AfcConfig)
 }
-_CONFIG_FIELDS = {f.name: f.type for f in fields(AfcConfig)}
-
-
-def check_config_fields(values: dict, path: str) -> None:
-    """ConfigError naming `path.<key>` for a key AfcConfig has no field for,
-    or a value not of its field's type (a bool is not an int)."""
-    for key, value in values.items():
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"{path}.{key}: unknown field")
-        expected = _CONFIG_FIELDS[key]
-        if not _FIELD_CHECKS[expected](value):
-            raise ConfigError(f"{path}.{key}: expected {expected}, got {type(value).__name__}")
 
 
 def feedback_window(config: AfcConfig, t: int) -> range:
@@ -522,8 +506,8 @@ def load_checkpoint(path) -> AfcModel:
         raise ConfigError(f"checkpoint.config: invalid JSON: {exc}") from None
     if not isinstance(values, dict):
         raise ConfigError("checkpoint.config: expected an object")
-    check_config_fields(values, "checkpoint.config")
-    model = AfcModel(AfcConfig(**values), seed=0)
+    check_keys(values, MODEL_KEYS, "checkpoint.config")
+    model = AfcModel(reported("checkpoint.config", AfcConfig, **values), seed=0)
     held, needed = len(body) - offset, 8 * sum(p.size for _, p in model.parameters())
     if held != needed:
         raise ConfigError(f"checkpoint holds {held} weight bytes, its config needs {needed}")

@@ -27,6 +27,10 @@ def _json_flag(text: str):
         raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from exc
 
 
+# A list or dict flag takes inline JSON; a bool flag is --key / --no-key.
+_FLAG_TYPES = {"number": float, "int": int, "string": str, "list": _json_flag, "dict": _json_flag}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fbclab",
@@ -41,22 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
         for key, spec in schema.items():
             flag = "--" + key.replace("_", "-")
             kwargs = dict(default=argparse.SUPPRESS, help=spec.help, dest=key)
-            if spec.type == "number":
-                sp.add_argument(flag, type=float, **kwargs)
-            elif spec.type == "int":
-                sp.add_argument(flag, type=int, **kwargs)
-            elif spec.type == "string":
-                sp.add_argument(flag, type=str, **kwargs)
-            elif spec.type == "bool":
-                sp.add_argument(
-                    flag,
-                    action=argparse.BooleanOptionalAction,
-                    default=argparse.SUPPRESS,
-                    help=spec.help,
-                    dest=key,
-                )
-            else:  # list | dict: accept inline JSON
-                sp.add_argument(flag, type=_json_flag, **kwargs)
+            if spec.type == "bool":
+                sp.add_argument(flag, action=argparse.BooleanOptionalAction, **kwargs)
+            else:
+                sp.add_argument(flag, type=_FLAG_TYPES[spec.type], **kwargs)
     return parser
 
 

@@ -1,15 +1,18 @@
 """Experiment orchestration: validated configs in, result files out.
 
-Every experiment kind has a documented parameter schema. A run validates its
-parameters (unknown keys and type errors are reported with their full key
-path), executes, and writes its result files and a manifest recording the
-config, its hash, the seed, and the package version. Every file goes through
-`fbclab.results`, which writes it atomically (temp file + rename) with the
-mode a plain `open()` gives. Rerunning with the same config and seed
-reproduces result bodies byte for byte; only the manifest timestamp differs.
-A train run that hits a non-finite loss still writes the history of the
-steps it made and a manifest with `status: "failed"` and the failing step,
-then re-raises.
+Every experiment kind has a documented table of keys, and a key whose value
+is an object carries the table of that object: `model` the AfcConfig fields,
+`uplink_trace` its kinds' fields, and `schemes` that of each entry.
+`keys.check_keys` checks the params against these tables and names each
+fault by its key path; a library object's own value check is reported under
+its key path too. A run then executes and writes its result files and a
+manifest recording the config, its hash, the seed, and the package version.
+Every file goes through `fbclab.results`, which writes it atomically (temp
+file + rename) with the mode a plain `open()` gives. Rerunning with the same
+config and seed reproduces result bodies byte for byte; only the manifest
+timestamp differs. A train run that hits a non-finite loss still writes the
+history of the steps it made and a manifest with `status: "failed"` and the
+failing step, then re-raises.
 """
 
 from __future__ import annotations
@@ -25,19 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .afc import (
-    AfcConfig,
-    AfcModel,
-    check_config_fields,
-    count_complexity,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .afc import MODEL_KEYS, AfcConfig, AfcModel, count_complexity, load_checkpoint, save_checkpoint
 from .analysis import coverage_report, fpga_report, fpga_report_csv
-from .channel import MeanRevertingTrace, PiecewiseTrace
+from .channel import INDOOR_REVERSION_RATE, INDOOR_VOLATILITY, MeanRevertingTrace, PiecewiseTrace
 from .errors import ConfigError, NumericalFailure
 from .gradcheck import run_gradient_checks
 from .harq import CRC16_LEN, HarqConfig, harq_trial_fn, uncoded_bpsk_trial_fn
+from .keys import OPTIONAL, REQUIRED, TYPE_CHECKS, ParamSpec, check_keys, finite_number, reported
 from .per import measure_per, usable_cpus, write_per_csv
 from .pipeline import (
     TimingParams,
@@ -66,21 +63,6 @@ from .training import (
 OUTPUT_DIR_ENV = "FBCLAB_OUT"
 
 
-# A key's `read_if` conditions each map the filled-in params to None when
-# met, else to the setting that skips the key; a run reads the key while
-# every condition holds, and the first unmet one names why it does not.
-# `choices` lists the values a selector key may take, and `minimum` the
-# least value a numeric key may take.
-@dataclass
-class ParamSpec:
-    type: str  # number | int | bool | string | list | dict
-    default: object
-    help: str
-    choices: tuple = ()
-    read_if: tuple = ()
-    minimum: int | None = None
-
-
 def _chosen(key: str, *choices: str):
     return lambda p: None if p[key] in choices else f"{key} {p[key]!r}"
 
@@ -90,6 +72,27 @@ _CODED = (_chosen("scheme", "harq-cc", "uncoded"),)
 _CURRICULUM = (lambda p: None if p["fixed_snr_db"] is None else "a run at fixed_snr_db",)
 _LINEAR = (*_CURRICULUM, _chosen("alpha_schedule", "linear"))
 _EXPONENTIAL = (*_CURRICULUM, _chosen("alpha_schedule", "exponential"))
+_MEAN_REVERTING, _PIECEWISE = (_chosen("kind", "mean-reverting"),), (_chosen("kind", "piecewise"),)
+
+# The keys of an `uplink_trace`: its kind's fields, the grid point setting
+# `mean_db`.
+TRACE_KEYS = {
+    "kind": ParamSpec(
+        "string", "mean-reverting", "mean-reverting | piecewise", choices=("mean-reverting", "piecewise")
+    ),
+    "reversion_rate": ParamSpec("number", INDOOR_REVERSION_RATE, "1/ms", read_if=_MEAN_REVERTING, minimum=0),
+    "volatility": ParamSpec("number", INDOOR_VOLATILITY, "dB/sqrt(ms)", read_if=_MEAN_REVERTING, minimum=0),
+    "start_db": ParamSpec("number", OPTIONAL, "first read (default: the mean)", read_if=_MEAN_REVERTING),
+    "points": ParamSpec("list", [], "[time_ms, snr_db] pairs, times increasing", read_if=_PIECEWISE),
+}
+
+COVERAGE_ENTRY_KEYS = {
+    "scheme": ParamSpec("string", REQUIRED, "scheme name"),
+    "delta_snr_db": ParamSpec("number", REQUIRED, "SNR gap to the reference in dB"),
+    "reported_distance_ratio": ParamSpec(
+        "number", OPTIONAL, "published distance ratio to compare", minimum=0, strict=True
+    ),
+}
 
 
 def _timing_keys(min_rounds: int) -> dict[str, ParamSpec]:
@@ -123,7 +126,7 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
         "jitter": ParamSpec("dict", None, "extra encode ms per round, e.g. {\"5\": 100}"),
     },
     "coverage": {
-        "exponent": ParamSpec("number", 3.0, "path loss exponent"),
+        "exponent": ParamSpec("number", 3.0, "path loss exponent", minimum=0, strict=True),
         "schemes": ParamSpec(
             "list",
             [
@@ -131,15 +134,21 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
                 {"scheme": "turbo-harq-vs-polar-harq", "delta_snr_db": 1.1, "reported_distance_ratio": 1.70 / 1.38},
             ],
             "schemes to compare; each {scheme, delta_snr_db[, reported_distance_ratio]}",
+            keys=COVERAGE_ENTRY_KEYS,
         ),
     },
     "complexity": {
-        "model": ParamSpec("dict", None, "overrides applied to both codec variants"),
+        "model": ParamSpec("dict", None, "overrides applied to both codec variants", keys={
+            **MODEL_KEYS,  # the two variants set `lightweight` themselves
+            "lightweight": dataclasses.replace(
+                MODEL_KEYS["lightweight"], read_if=(lambda p: "kind 'complexity'",)
+            ),
+        }),
     },
     "gradcheck": {
-        "model": ParamSpec("dict", None, "overrides for the tiny check model"),
-        "step": ParamSpec("number", 1e-5, "finite-difference step"),
-        "tolerance": ParamSpec("number", 1e-4, "max allowed relative error"),
+        "model": ParamSpec("dict", None, "overrides for the tiny check model", keys=MODEL_KEYS),
+        "step": ParamSpec("number", 1e-5, "finite-difference step", minimum=0, strict=True),
+        "tolerance": ParamSpec("number", 1e-4, "max allowed relative error", minimum=0, strict=True),
     },
     "per-sweep": {
         "scheme": ParamSpec(
@@ -162,13 +171,14 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
             "uplink read at the round times, 1 ms apart: {kind: mean-reverting, reversion_rate,"
             " volatility, start_db} (mean: the grid point) or {kind: piecewise, points}",
             read_if=_NEURAL,
+            keys=TRACE_KEYS,
         ),
     },
     "train": {
-        "model": ParamSpec("dict", None, "codec config overrides (see AfcConfig)"),
+        "model": ParamSpec("dict", None, "codec config overrides (see AfcConfig)", keys=MODEL_KEYS),
         "steps": ParamSpec("int", 1000, "optimizer steps", minimum=1),
         "batch_size": ParamSpec("int", 64, "sessions per step", minimum=1),
-        "learning_rate": ParamSpec("number", 1e-3, "Adam step size"),
+        "learning_rate": ParamSpec("number", 1e-3, "Adam step size", minimum=0, strict=True),
         "fixed_snr_db": ParamSpec("number", None, "train at one SNR, bypassing the curriculum"),
         "noiseless_uplink": ParamSpec("bool", False, "disable uplink noise"),
         "feedback_snr_db": ParamSpec("number", None, "AWGN feedback SNR (default: ideal feedback)"),
@@ -185,15 +195,13 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
         "alpha_end": ParamSpec(
             "int", None, "step where linear decay reaches 0 (default: steps)", read_if=_LINEAR
         ),
-        "alpha_rate": ParamSpec("number", 0.005, "exponential decay rate", read_if=_EXPONENTIAL),
+        "alpha_rate": ParamSpec(
+            "number", 0.005, "exponential decay rate", read_if=_EXPONENTIAL, minimum=0, strict=True
+        ),
     },
 }
 
 STOCHASTIC_KINDS = ("per-sweep", "train", "gradcheck")
-
-# `uplink_trace` kinds; each reads its dataclass's fields, the grid point
-# setting `mean_db`.
-TRACE_KINDS = {"mean-reverting": MeanRevertingTrace, "piecewise": PiecewiseTrace}
 
 # Where every module tunable surfaces in the schemas; "fixed:" entries are
 # derived quantities or deliberate constants. The completeness test walks this.
@@ -247,66 +255,11 @@ class ExperimentConfig:
 # Validation
 # ---------------------------------------------------------------------------
 
-def _finite_number(value) -> bool:
-    """An int or float, not a bool, that a float holds finitely."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return abs(value) <= float(np.finfo(float).max)
-
-
-_TYPE_CHECKS = {
-    "number": _finite_number,
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "bool": lambda v: isinstance(v, bool),
-    "string": lambda v: isinstance(v, str),
-    "list": lambda v: isinstance(v, list),
-    "dict": lambda v: isinstance(v, dict),
-}
-
-
 def validate_params(kind: str, params: dict) -> dict:
-    """Fill defaults and type-check; ConfigError messages carry key paths.
-
-    A key takes null only where its default is null, and a number key takes
-    only finite numbers. Giving a key the run will not read, given the other
-    settings, is a ConfigError, and the validated params keep only the keys
-    the run reads, so the manifest and the config hash state only settings
-    the run uses. A key the run reads takes no value below its `minimum`.
-    """
+    """`params` checked against its kind's table by `keys.check_keys`."""
     if kind not in SCHEMAS:
         raise ConfigError(f"kind: unknown experiment kind {kind!r}")
-    schema = SCHEMAS[kind]
-    for key in params:
-        if key not in schema:
-            raise ConfigError(f"params.{key}: unknown key for kind {kind!r}")
-    out = {}
-    for key, spec in schema.items():
-        value = params.get(key, spec.default)
-        if not (_TYPE_CHECKS[spec.type](value) or value is None and spec.default is None):
-            shown = value if value is None or isinstance(value, float) else type(value).__name__
-            raise ConfigError(f"params.{key}: expected {spec.type}, got {shown}")
-        out[key] = value
-    if "model" in schema and out["model"]:
-        check_config_fields(out["model"], "params.model")
-    for key, spec in schema.items():
-        if spec.choices and out[key] not in spec.choices:
-            raise ConfigError(f"params.{key}: unknown {key} {out[key]!r}")
-    unread = {
-        key: reason
-        for key, spec in schema.items()
-        if (reason := next(filter(None, (cond(out) for cond in spec.read_if)), None))
-    }
-    for key in params:  # the keys as given: defaults are not settings
-        if key in unread:
-            raise ConfigError(f"params.{key}: {unread[key]} does not read it")
-    out = {key: value for key, value in out.items() if key not in unread}
-    for key, value in out.items():
-        low = schema[key].minimum
-        if low is not None and value < low:
-            raise ConfigError(f"params.{key}: must be >= {low}, got {value}")
-    if kind == "per-sweep" and out.get("uplink_trace") is not None:
-        _trace_kind(out["uplink_trace"])
-    return out
+    return check_keys(params, SCHEMAS[kind], "params", f"unknown key for kind {kind!r}")
 
 
 def require_seed(config: ExperimentConfig) -> int:
@@ -323,7 +276,7 @@ def expand_grid(spec, name: str, minimum: float | None = None) -> list[float]:
     """
     if not isinstance(spec, list) or not spec:
         raise ConfigError(f"params.{name}: expected a non-empty list")
-    if not all(_finite_number(v) for v in spec):
+    if not all(finite_number(v) for v in spec):
         raise ConfigError(f"params.{name}: every entry must be a finite number")
     values = [float(v) for v in spec]
     if len(values) == 3:
@@ -354,13 +307,6 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def _timing_from_params(p: dict) -> TimingParams:
     return TimingParams(p["delta_ms"], p["delta_tilde_ms"], p["rounds"], p["min_forward_ms"])
-
-
-def _require_positive(p: dict, *keys: str) -> None:
-    """Each of `keys` the run reads must be > 0; say so with the key path."""
-    for key in keys:
-        if key in p and p[key] <= 0:
-            raise ConfigError(f"params.{key}: must be > 0, got {p[key]}")
 
 
 def _run_latency(p: dict, seed, out: Path) -> list[str]:
@@ -396,7 +342,7 @@ def _run_timeline(p: dict, seed, out: Path) -> list[str]:
     for key, value in (p["jitter"] or {}).items():
         if key not in round_of:
             raise ConfigError(f"params.jitter.{key}: not a round index in 0..{p['rounds'] - 1}")
-        if not (_finite_number(value) and value >= 0):
+        if not (finite_number(value) and value >= 0):
             raise ConfigError(f"params.jitter.{key}: expected a finite number >= 0, got {value!r}")
         jitter[round_of[key]] = float(value)
     tl = simulate_timeline(
@@ -417,52 +363,24 @@ def _run_timeline(p: dict, seed, out: Path) -> list[str]:
     return ["timeline.csv", "timeline_summary.json"]
 
 
-def _check_coverage_entry(i: int, entry) -> None:
-    """A `schemes` entry is {scheme, delta_snr_db[, reported_distance_ratio]};
-    anything else is a ConfigError naming params.schemes[i].<key>."""
-    path = f"params.schemes[{i}]"
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(entry).__name__}")
-    for key in entry:
-        if key not in ("scheme", "delta_snr_db", "reported_distance_ratio"):
-            raise ConfigError(f"{path}.{key}: unknown key")
-    for key in ("scheme", "delta_snr_db"):
-        if key not in entry:
-            raise ConfigError(f"{path}.{key}: required")
-    if not isinstance(entry["scheme"], str):
-        raise ConfigError(f"{path}.scheme: expected a string, got {entry['scheme']!r}")
-    delta = entry["delta_snr_db"]
-    if not _finite_number(delta):
-        raise ConfigError(f"{path}.delta_snr_db: expected a finite number, got {delta!r}")
-    ratio = entry.get("reported_distance_ratio")
-    if "reported_distance_ratio" in entry and not (_finite_number(ratio) and ratio > 0):
-        raise ConfigError(
-            f"{path}.reported_distance_ratio: expected a finite number > 0, got {ratio!r}"
-        )
-
-
 def _run_coverage(p: dict, seed, out: Path) -> list[str]:
-    _require_positive(p, "exponent")
-    reports = []
-    for i, entry in enumerate(p["schemes"]):
-        _check_coverage_entry(i, entry)
-        reports.append(
-            coverage_report(
-                entry["scheme"],
-                float(entry["delta_snr_db"]),
-                float(p["exponent"]),
-                reported_distance_ratio=entry.get("reported_distance_ratio"),
-            )
+    reports = [
+        coverage_report(
+            entry["scheme"],
+            float(entry["delta_snr_db"]),
+            float(p["exponent"]),
+            reported_distance_ratio=entry.get("reported_distance_ratio"),
         )
+        for entry in p["schemes"]
+    ]
     write_json(out / "coverage.json", reports)
     return ["coverage.json"]
 
 
 def _run_complexity(p: dict, seed, out: Path) -> list[str]:
-    overrides = dict(p["model"] or {})
-    overrides.pop("lightweight", None)
-    full_cfg = AfcConfig(**overrides)
-    light_cfg = dataclasses.replace(AfcConfig.default_light(), **overrides)
+    overrides = p["model"] or {}
+    full_cfg = reported("params.model", AfcConfig, **overrides)
+    light_cfg = reported("params.model", dataclasses.replace, AfcConfig.default_light(), **overrides)
     full, light = count_complexity(full_cfg), count_complexity(light_cfg)
 
     def _enc_enumeration(cfg):
@@ -487,49 +405,28 @@ def _run_complexity(p: dict, seed, out: Path) -> list[str]:
 
 
 def _run_gradcheck(p: dict, seed, out: Path) -> list[str]:
-    _require_positive(p, "step", "tolerance")
     overrides = p["model"]
-    custom = AfcConfig.tiny(**overrides) if overrides else None
+    custom = reported("params.model", AfcConfig.tiny, **overrides) if overrides else None
     results = run_gradient_checks(seed, p["step"], p["tolerance"], custom)
     write_json(out / "gradcheck.json", results)
     return ["gradcheck.json"]
 
 
-def _trace_kind(trace: dict):
-    """The `uplink_trace` parameter as a map from grid SNR to trace kind.
-
-    A key the kind does not read, or a value that is not finite numbers, is
-    a ConfigError naming params.uplink_trace.<key>.
+def _uplink_trace(trace: dict | None):
+    """The checked `uplink_trace` parameter as a map from grid SNR to trace
+    kind, or None. A piecewise trace's points must be finite [time_ms, snr_db]
+    pairs that PiecewiseTrace accepts, or a ConfigError names them.
     """
-    name = trace.get("kind", "mean-reverting")
-    if not isinstance(name, str) or name not in TRACE_KINDS:
-        raise ConfigError(f"params.uplink_trace.kind: unknown kind {name!r}")
-    cls = TRACE_KINDS[name]
-    fields = {f.name for f in dataclasses.fields(cls)} - {"mean_db"}
-    kwargs = {k: v for k, v in trace.items() if k != "kind"}
-    for key, value in kwargs.items():
-        if key not in fields:
-            raise ConfigError(f"params.uplink_trace.{key}: kind {name!r} does not read it")
-        if key != "points" and not _finite_number(value):
-            raise ConfigError(f"params.uplink_trace.{key}: expected a finite number, got {value!r}")
-    points = kwargs.get("points", [])
-    if not isinstance(points, list) or not all(
-        isinstance(pt, list) and len(pt) == 2 and all(map(_finite_number, pt)) for pt in points
-    ):
-        raise ConfigError(
-            "params.uplink_trace.points: expected a list of finite [time_ms, snr_db] pairs"
-        )
-
-    def build(mean_db):
-        if cls is PiecewiseTrace:
-            return PiecewiseTrace(points)
-        return MeanRevertingTrace(mean_db, **kwargs)
-
-    try:
-        build(0.0)  # the dataclass's own checks, reported with the key path
-    except ConfigError as exc:
-        raise ConfigError(f"params.uplink_trace.{exc}") from None
-    return build
+    if trace is None:
+        return None
+    if trace.get("kind") != "piecewise":
+        fields = {key: value for key, value in trace.items() if key != "kind"}
+        return lambda mean_db: MeanRevertingTrace(mean_db, **fields)
+    points = trace.get("points", [])
+    if not all(isinstance(pt, list) and len(pt) == 2 and all(map(finite_number, pt)) for pt in points):
+        raise ConfigError("params.uplink_trace.points: expected a list of finite [time_ms, snr_db] pairs")
+    piecewise = reported("params.uplink_trace", PiecewiseTrace, points)
+    return lambda mean_db: piecewise
 
 
 def _run_per_sweep(p: dict, seed: int, out: Path) -> list[str]:
@@ -542,14 +439,11 @@ def _run_per_sweep(p: dict, seed: int, out: Path) -> list[str]:
     elif scheme == "uncoded":
         trial = uncoded_bpsk_trial_fn(p["k"])
     else:
+        uplink_trace = _uplink_trace(p["uplink_trace"])
         if not p["checkpoint"]:
             raise ConfigError("params.checkpoint: required for scheme 'neural'")
         model = load_checkpoint(p["checkpoint"])
-        trial = neural_trial_fn(
-            model,
-            feedback_snr_db=p["feedback_snr_db"],
-            uplink_trace=_trace_kind(p["uplink_trace"]) if p["uplink_trace"] is not None else None,
-        )
+        trial = neural_trial_fn(model, feedback_snr_db=p["feedback_snr_db"], uplink_trace=uplink_trace)
     points = measure_per(
         trial,
         grid,
@@ -584,8 +478,7 @@ def _curriculum(p: dict) -> CurriculumConfig:
 
 
 def _run_train(p: dict, seed: int, out: Path) -> list[str]:
-    _require_positive(p, "learning_rate", "alpha_rate")
-    model = AfcModel(AfcConfig(**(p["model"] or {})), seed=seed)
+    model = AfcModel(reported("params.model", AfcConfig, **(p["model"] or {})), seed=seed)
     tc = TrainConfig(
         steps=p["steps"],
         batch_size=p["batch_size"],
@@ -628,7 +521,7 @@ def default_out_dir() -> str:
 def run_experiment(config: ExperimentConfig) -> dict:
     """Validate, run, and write outputs plus a manifest; returns the manifest."""
     seed = config.seed
-    if seed is not None and not (_TYPE_CHECKS["int"](seed) and seed >= 0):
+    if seed is not None and not (TYPE_CHECKS["int"](seed) and seed >= 0):
         raise ConfigError(f"seed: expected a non-negative integer, got {seed!r}")
     params = validate_params(config.kind, config.params)
     if config.kind in STOCHASTIC_KINDS:

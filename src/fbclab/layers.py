@@ -51,9 +51,6 @@ class ModuleList(Module):
     def __iter__(self):
         return iter(self.items)
 
-    def __len__(self):
-        return len(self.items)
-
 
 class Linear(Module):
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):

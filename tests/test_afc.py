@@ -452,10 +452,12 @@ def test_checkpoint_config_errors_name_the_key(tmp_path):
         return edited
 
     assert load_checkpoint(with_config(json.dumps(config).encode())).config == TINY
-    with pytest.raises(ConfigError, match=r"^checkpoint\.config\.old_key: unknown field$"):
+    with pytest.raises(ConfigError, match=r"^checkpoint\.config\.old_key: unknown key$"):
         load_checkpoint(with_config(json.dumps({**config, "old_key": 1}).encode()))
     with pytest.raises(ConfigError, match=r"^checkpoint\.config\.d_model: expected int"):
         load_checkpoint(with_config(json.dumps({**config, "d_model": "8"}).encode()))
+    with pytest.raises(ConfigError, match=r"^checkpoint\.config\.d_model: must be >= 1, got 0$"):
+        load_checkpoint(with_config(json.dumps({**config, "d_model": 0}).encode()))
     with pytest.raises(ConfigError, match=r"^checkpoint\.config: invalid JSON"):
         load_checkpoint(with_config(b'{"block_size": 3,'))
     with pytest.raises(ConfigError, match=r"^checkpoint\.config: expected an object"):

@@ -58,10 +58,10 @@ def test_type_mismatch_reports_path():
 
 @pytest.mark.parametrize("field, value, message", [
     ("d_model", "x", "expected int, got str"),
-    ("d_model", 2.5, "expected int, got float"),
+    ("d_model", 2.5, "expected int, got 2.5"),
     ("rounds", True, "expected int, got bool"),
     ("lightweight", 1, "expected bool, got int"),
-    ("sparse_ff_window", 1.0, "expected int | None, got float"),
+    ("sparse_ff_window", 1.0, "expected int, got 1.0"),
 ])
 def test_model_field_types_checked(tmp_path, capsys, field, value, message):
     for kind in ("train", "gradcheck", "complexity"):
@@ -74,14 +74,30 @@ def test_model_field_types_checked(tmp_path, capsys, field, value, message):
     validate_params("complexity", {"model": {"sparse_ff_window": None}})
 
 
-@pytest.mark.parametrize("field, value", [("d_model", 0), ("snr_emb_dim", 0), ("ff_dim", -1)])
+@pytest.mark.parametrize("field, value", [
+    ("d_model", 0), ("snr_emb_dim", 0), ("ff_dim", -1), ("rounds", 0), ("enc_layers", 9),
+    ("sparse_ff_window", -1),
+])
 def test_model_sizes_below_one_rejected(tmp_path, capsys, field, value):
-    with pytest.raises(ConfigError, match=rf"^{field} must be >= 1, got {value}$"):
+    # AfcConfig's own value checks name the field; every kind that builds a
+    # codec reports them under params.model.
+    texts = {"enc_layers": "encoder depth 9 exceeds dec_layers", "sparse_ff_window": "must be >= 0, got -1"}
+    message = f"{field}: {texts.get(field, f'must be >= 1, got {value}')}"
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
         AfcConfig(**{field: value})
-    code = main(["complexity", "--model", json.dumps({field: value}), "--out", str(tmp_path / "cli")])
-    assert code == 2
-    assert f"{field} must be >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "cli").exists()
+    for kind in ("train", "gradcheck", "complexity"):
+        _rejected_everywhere(kind, {"model": {field: value}}, ["--model", json.dumps({field: value})],
+                             f"params.model.{message}", tmp_path, capsys)
+
+
+def test_complexity_rejects_lightweight(tmp_path, capsys):
+    # complexity runs both variants, so a lightweight override would change
+    # nothing but the config hash.
+    for value in (True, False):
+        model = {"lightweight": value}
+        _rejected_everywhere("complexity", {"model": model}, ["--model", json.dumps(model)],
+                             "params.model.lightweight: kind 'complexity' does not read it",
+                             tmp_path, capsys)
 
 
 def _null_and_nonfinite_values():
