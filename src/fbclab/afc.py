@@ -35,7 +35,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .channel import noise_sigma
 from .errors import ConfigError, NumericalFailure, ProtocolViolation
-from .keys import ParamSpec, check_keys, reported
+from .keys import bounded, check_bounds, check_keys, field_key, reported
 from .layers import Linear, Module, SnrMlp, TransformerStack
 from .results import atomic_write
 
@@ -47,29 +47,24 @@ _NORM_EPS = 1e-8
 
 @dataclass
 class AfcConfig:
-    block_size: int = 3
-    num_blocks: int = 16
-    rounds: int = 9
-    feedback_lag: int = 2
-    d_model: int = 16
-    ff_dim: int = 32
-    enc_layers: int = 2
-    dec_layers: int = 4
-    fb_layers: int = 2
-    snr_emb_dim: int = 16
+    block_size: int = bounded(1, default=3)
+    num_blocks: int = bounded(1, default=16)
+    rounds: int = bounded(1, default=9)
+    feedback_lag: int = bounded(1, default=2)
+    d_model: int = bounded(1, default=16)
+    ff_dim: int = bounded(1, default=32)
+    enc_layers: int = bounded(1, default=2)
+    dec_layers: int = bounded(1, default=4)
+    fb_layers: int = bounded(1, default=2)
+    snr_emb_dim: int = bounded(1, default=16)
     lightweight: bool = False
-    sparse_ff_window: int | None = None
+    sparse_ff_window: int | None = bounded(0, default=None)
 
     def __post_init__(self):
-        for name in ("block_size", "num_blocks", "rounds", "feedback_lag", "d_model", "ff_dim",
-                     "snr_emb_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)}")
+        check_bounds(self)
         if self.effective_enc_layers > self.dec_layers:
             depth = self.effective_enc_layers
             raise ConfigError(f"enc_layers: encoder depth {depth} exceeds dec_layers {self.dec_layers}")
-        if self.sparse_ff_window is not None and self.sparse_ff_window < 0:
-            raise ConfigError(f"sparse_ff_window: must be >= 0, got {self.sparse_ff_window}")
 
     # -- derived sizes -------------------------------------------------------
 
@@ -249,11 +244,10 @@ class AfcModel(Module):
         return x, rows + list(range(emb_row, emb_row + emb.shape[-1]))
 
 
-# The key table of a `model` override and of a checkpoint's config echo. A
-# field takes null only where its default is null: `int | None` is an int.
+# The key table of a `model` override and of a checkpoint's config echo. It
+# states no bound: AfcConfig checks its own when built, after every other key.
 MODEL_KEYS = {
-    f.name: ParamSpec(f.type.removesuffix(" | None"), f.default, "see AfcConfig")
-    for f in fields(AfcConfig)
+    f.name: field_key(AfcConfig, f.name, "see AfcConfig", minimum=None) for f in fields(AfcConfig)
 }
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputDomainError, RangeError
+from .keys import bounded, check_bounds
 from .results import emit_results
 
 FPGA_CSV_HEADER = ["family", "dsp_gmacs", "peak_gflops", "latency_us"]
@@ -25,11 +26,9 @@ FPGA_CSV_HEADER = ["family", "dsp_gmacs", "peak_gflops", "latency_us"]
 @dataclass
 class FpgaSpec:
     name: str
-    dsp_gmacs: float
+    dsp_gmacs: float = bounded(0, strict=True)
 
-    def __post_init__(self):
-        if self.dsp_gmacs <= 0:
-            raise ConfigError("dsp_gmacs must be > 0")
+    __post_init__ = check_bounds
 
     @property
     def peak_gflops(self) -> float:
@@ -47,17 +46,26 @@ FPGA_FAMILIES = [
 
 
 def distance_ratio(delta_snr_db: float, exponent: float = 3.0) -> float:
-    """Coverage-distance ratio implied by an SNR (sensitivity) advantage."""
+    """Coverage-distance ratio implied by an SNR (sensitivity) advantage; inf past the floats."""
     if exponent <= 0:
         raise InputDomainError("exponent must be > 0")
-    return 10.0 ** (delta_snr_db / (10.0 * exponent))
+    try:
+        return 10.0 ** (delta_snr_db / (10.0 * exponent))
+    except OverflowError:
+        return math.inf
 
 
 def density_ratio(r: float) -> float:
-    """Relative access-point density for a coverage-distance ratio r."""
+    """Relative access-point density for a coverage-distance ratio r; inf past the floats."""
     if r <= 0:
         raise InputDomainError("distance ratio must be > 0")
-    return 1.0 / (r * r)
+    return 1.0 / (r * r) if r * r else math.inf
+
+
+def _finite_positive(name: str, what: str, value: float) -> float:
+    if not 0 < value < math.inf:
+        raise InputDomainError(f"{name}: {what} {value:g}, not a finite positive float")
+    return value
 
 
 def sensitivity_from_per_curve(points, target_per: float) -> float:
@@ -129,15 +137,24 @@ def coverage_report(
     When an externally reported distance ratio is supplied it drives the
     density figure (so published numbers can be reproduced), and the report
     states the discrepancy against the formula value rather than hiding it.
+    A ratio outside the finite positive floats raises InputDomainError
+    `<argument>: ...`, naming the argument it comes from.
     """
-    formula_ratio = distance_ratio(delta_snr_db, exponent)
+    formula_ratio = _finite_positive(
+        "delta_snr_db",
+        f"{delta_snr_db:g} dB at exponent {exponent:g} gives a distance ratio of",
+        distance_ratio(delta_snr_db, exponent),
+    )
     used = reported_distance_ratio if reported_distance_ratio is not None else formula_ratio
+    source = "delta_snr_db" if reported_distance_ratio is None else "reported_distance_ratio"
     report = {
         "scheme": scheme,
         "delta_snr_db": delta_snr_db,
         "n": exponent,
         "distance_ratio": used,
-        "density_ratio": density_ratio(used),
+        "density_ratio": _finite_positive(
+            source, f"distance ratio {used:g} gives a density ratio of", density_ratio(used)
+        ),
         "formula_distance_ratio": formula_ratio,
     }
     if reported_distance_ratio is not None:

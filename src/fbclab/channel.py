@@ -18,6 +18,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, InputDomainError
+from .keys import bounded, check_bounds
 
 TracePoint = tuple[float, float]  # (time_ms, snr_db)
 
@@ -34,12 +35,6 @@ def noise_sigma(snr_db):
 # SNR traces
 # ---------------------------------------------------------------------------
 
-# Defaults reproduce the dispersion of an indoor measurement campaign:
-# median 100-ms window swing around 2 dB, multi-second swings reaching 14 dB.
-INDOOR_REVERSION_RATE = 0.002  # 1/ms
-INDOOR_VOLATILITY = 0.15  # dB / sqrt(ms)
-
-
 @dataclass
 class MeanRevertingTrace:
     """Mean-reverting SNR process: drift toward `mean_db` plus white noise.
@@ -47,19 +42,17 @@ class MeanRevertingTrace:
     Uses the exact conditional-Gaussian transition over each interval
     between reads, so zero volatility gives a strictly monotone decay toward
     the mean from any start. reversion_rate is in 1/ms; volatility is in dB
-    per sqrt(ms).
+    per sqrt(ms). The defaults reproduce the dispersion of an indoor
+    measurement campaign: median 100-ms window swing around 2 dB, multi-second
+    swings reaching 14 dB.
     """
 
     mean_db: float
-    reversion_rate: float = INDOOR_REVERSION_RATE
-    volatility: float = INDOOR_VOLATILITY
+    reversion_rate: float = bounded(0, default=0.002)
+    volatility: float = bounded(0, default=0.15)
     start_db: float | None = None  # None -> start at the mean
 
-    def __post_init__(self):
-        if self.reversion_rate < 0:
-            raise ConfigError("reversion_rate: must be >= 0")
-        if self.volatility < 0:
-            raise ConfigError("volatility: must be >= 0")
+    __post_init__ = check_bounds
 
 
 @dataclass

@@ -2,11 +2,13 @@
 
 Every experiment kind has a documented table of keys, and a key whose value
 is an object carries the table of that object: `model` the AfcConfig fields,
-`uplink_trace` its kinds' fields, and `schemes` that of each entry.
-`keys.check_keys` checks the params against these tables and names each
-fault by its key path; a library object's own value check is reported under
-its key path too. A run then executes and writes its result files and a
-manifest recording the config, its hash, the seed, and the package version.
+`uplink_trace` its kinds' fields, and `schemes` that of each entry. A key that
+sets a library config field takes the field's type, default and bound, and a
+runner builds the config from those keys (`keys.field_key`, `keys.built`).
+`keys.check_keys` checks the params against these tables and names each fault
+by its key path; a library object's own value check is reported under its key
+path too. A run then executes and writes its result files and a manifest
+recording the config, its hash, the seed, and the package version.
 Every file goes through `fbclab.results`, which writes it atomically (temp
 file + rename) with the mode a plain `open()` gives. Rerunning with the same
 config and seed reproduces result bodies byte for byte; only the manifest
@@ -30,11 +32,13 @@ import numpy as np
 from . import __version__
 from .afc import MODEL_KEYS, AfcConfig, AfcModel, count_complexity, load_checkpoint, save_checkpoint
 from .analysis import coverage_report, fpga_report, fpga_report_csv
-from .channel import INDOOR_REVERSION_RATE, INDOOR_VOLATILITY, MeanRevertingTrace, PiecewiseTrace
+from .channel import MeanRevertingTrace, PiecewiseTrace
 from .errors import ConfigError, NumericalFailure
 from .gradcheck import run_gradient_checks
-from .harq import CRC16_LEN, HarqConfig, harq_trial_fn, uncoded_bpsk_trial_fn
-from .keys import OPTIONAL, REQUIRED, TYPE_CHECKS, ParamSpec, check_keys, finite_number, reported
+from .harq import HarqConfig, harq_trial_fn, uncoded_bpsk_trial_fn
+from .keys import (
+    OPTIONAL, REQUIRED, TYPE_CHECKS, ParamSpec, built, check_keys, field_key, finite_number, reported,
+)
 from .per import measure_per, usable_cpus, write_per_csv
 from .pipeline import (
     TimingParams,
@@ -52,7 +56,6 @@ from .results import canonical, write_json
 from .training import (
     CurriculumConfig,
     ExponentialDecay,
-    GaussianAnchor,
     LinearDecay,
     TrainConfig,
     neural_trial_fn,
@@ -73,16 +76,21 @@ _CURRICULUM = (lambda p: None if p["fixed_snr_db"] is None else "a run at fixed_
 _LINEAR = (*_CURRICULUM, _chosen("alpha_schedule", "linear"))
 _EXPONENTIAL = (*_CURRICULUM, _chosen("alpha_schedule", "exponential"))
 _MEAN_REVERTING, _PIECEWISE = (_chosen("kind", "mean-reverting"),), (_chosen("kind", "piecewise"),)
+# The default anchors, whose fields the anchor keys set.
+_ORIG, _TARG = CurriculumConfig().p_orig, CurriculumConfig().p_targ
 
 # The keys of an `uplink_trace`: its kind's fields, the grid point setting
-# `mean_db`.
+# `mean_db`. A trace without `start_db` starts at the mean; null is no setting.
 TRACE_KEYS = {
     "kind": ParamSpec(
         "string", "mean-reverting", "mean-reverting | piecewise", choices=("mean-reverting", "piecewise")
     ),
-    "reversion_rate": ParamSpec("number", INDOOR_REVERSION_RATE, "1/ms", read_if=_MEAN_REVERTING, minimum=0),
-    "volatility": ParamSpec("number", INDOOR_VOLATILITY, "dB/sqrt(ms)", read_if=_MEAN_REVERTING, minimum=0),
-    "start_db": ParamSpec("number", OPTIONAL, "first read (default: the mean)", read_if=_MEAN_REVERTING),
+    "reversion_rate": field_key(MeanRevertingTrace, "reversion_rate", "1/ms", read_if=_MEAN_REVERTING),
+    "volatility": field_key(MeanRevertingTrace, "volatility", "dB/sqrt(ms)", read_if=_MEAN_REVERTING),
+    "start_db": field_key(
+        MeanRevertingTrace, "start_db", "first read (default: the mean)",
+        default=OPTIONAL, read_if=_MEAN_REVERTING,
+    ),
     "points": ParamSpec("list", [], "[time_ms, snr_db] pairs, times increasing", read_if=_PIECEWISE),
 }
 
@@ -95,29 +103,29 @@ COVERAGE_ENTRY_KEYS = {
 }
 
 
-def _timing_keys(min_rounds: int) -> dict[str, ParamSpec]:
-    """The session timing keys; a pipelined schedule needs two rounds."""
-    return {
-        "delta_ms": ParamSpec(
-            "number", 10.0, "forward interval: encode, then transmit for min(delta_ms, min_forward_ms)",
-            minimum=0,
-        ),
-        "delta_tilde_ms": ParamSpec("number", 4.0, "feedback interval", minimum=0),
-        "rounds": ParamSpec("int", 9, "rounds per session", minimum=min_rounds),
-        "min_forward_ms": ParamSpec("number", 1.0, "minimum forward air time", minimum=0),
-    }
-
+TIMING_KEYS = {
+    "delta_ms": field_key(
+        TimingParams, "delta", "forward interval: encode, then transmit for min(delta_ms, min_forward_ms)"
+    ),
+    "delta_tilde_ms": field_key(TimingParams, "delta_tilde", "feedback interval"),
+    "rounds": field_key(TimingParams, "rounds", "rounds per session"),
+    "min_forward_ms": field_key(TimingParams, "min_forward", "minimum forward air time"),
+}
+# The closed forms and the sweep compare against a pipelined schedule, which
+# needs two rounds; an async timeline checks that itself.
+_PIPELINED_ROUNDS = dataclasses.replace(TIMING_KEYS["rounds"], minimum=2)
 
 SCHEMAS: dict[str, dict[str, ParamSpec]] = {
-    "latency": _timing_keys(2),
+    "latency": {**TIMING_KEYS, "rounds": _PIPELINED_ROUNDS},
     "latency-sweep": {
         "deltas": ParamSpec("list", [1.0, 30.0, 1.0], "forward sweep [start, stop, step] or explicit list"),
         "delta_tildes": ParamSpec("list", [4.0], "feedback sweep [start, stop, step] or explicit list"),
         # the two grids stand for delta_ms and delta_tilde_ms
-        **{key: _timing_keys(2)[key] for key in ("rounds", "min_forward_ms")},
+        "rounds": _PIPELINED_ROUNDS,
+        "min_forward_ms": TIMING_KEYS["min_forward_ms"],
     },
     "timeline": {
-        **_timing_keys(1),  # an async timeline needs two
+        **TIMING_KEYS,
         "mode": ParamSpec("string", "async", "sync or async", choices=("sync", "async")),
         "feedback_lag": ParamSpec(
             "int", 2, "rounds between a transmission and usable feedback",
@@ -158,9 +166,11 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
         "max_trials": ParamSpec("int", 1_000_000, "trial cap per grid point", minimum=100),
         "target_errors": ParamSpec("int", 100, "early-stop error count per point", minimum=1),
         "batch_size": ParamSpec("int", 200, "trials per Monte-Carlo batch", minimum=1),
-        "k": ParamSpec("int", 47, "info bits (harq-cc and uncoded schemes)", read_if=_CODED, minimum=1),
-        "harq_max_attempts": ParamSpec("int", 3, "attempt budget", read_if=_HARQ, minimum=1),
-        "harq_use_crc16": ParamSpec("bool", False, "CRC-16 ack instead of genie ack", read_if=_HARQ),
+        "k": field_key(HarqConfig, "k", "info bits (harq-cc and uncoded schemes)", read_if=_CODED),
+        "harq_max_attempts": field_key(HarqConfig, "max_attempts", "attempt budget", read_if=_HARQ),
+        "harq_use_crc16": field_key(
+            HarqConfig, "use_crc16", "CRC-16 ack instead of genie ack", read_if=_HARQ
+        ),
         "checkpoint": ParamSpec("string", None, "codec checkpoint (neural scheme)", read_if=_NEURAL),
         "feedback_snr_db": ParamSpec(
             "number", None, "AWGN feedback SNR (default: ideal feedback)", read_if=_NEURAL
@@ -176,72 +186,32 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
     },
     "train": {
         "model": ParamSpec("dict", None, "codec config overrides (see AfcConfig)", keys=MODEL_KEYS),
-        "steps": ParamSpec("int", 1000, "optimizer steps", minimum=1),
-        "batch_size": ParamSpec("int", 64, "sessions per step", minimum=1),
-        "learning_rate": ParamSpec("number", 1e-3, "Adam step size", minimum=0, strict=True),
-        "fixed_snr_db": ParamSpec("number", None, "train at one SNR, bypassing the curriculum"),
-        "noiseless_uplink": ParamSpec("bool", False, "disable uplink noise"),
-        "feedback_snr_db": ParamSpec("number", None, "AWGN feedback SNR (default: ideal feedback)"),
-        "orig_mean_db": ParamSpec("number", 8.0, "benign anchor mean", read_if=_CURRICULUM),
-        "orig_std_db": ParamSpec("number", 1.0, "benign anchor std", read_if=_CURRICULUM, minimum=0),
-        "targ_mean_db": ParamSpec("number", 0.0, "harsh anchor mean", read_if=_CURRICULUM),
-        "targ_std_db": ParamSpec("number", 1.0, "harsh anchor std", read_if=_CURRICULUM, minimum=0),
-        "sigma_p": ParamSpec("number", 1.0, "perturbation std", read_if=_CURRICULUM, minimum=0),
+        "steps": field_key(TrainConfig, "steps", "optimizer steps"),
+        "batch_size": field_key(TrainConfig, "batch_size", "sessions per step"),
+        "learning_rate": field_key(TrainConfig, "learning_rate", "Adam step size"),
+        "fixed_snr_db": field_key(TrainConfig, "fixed_snr_db", "train at one SNR, bypassing the curriculum"),
+        "noiseless_uplink": field_key(TrainConfig, "noiseless_uplink", "disable uplink noise"),
+        "feedback_snr_db": field_key(
+            TrainConfig, "feedback_snr_db", "AWGN feedback SNR (default: ideal feedback)"
+        ),
+        "orig_mean_db": field_key(_ORIG, "mean_db", "benign anchor mean", read_if=_CURRICULUM),
+        "orig_std_db": field_key(_ORIG, "std_db", "benign anchor std", read_if=_CURRICULUM),
+        "targ_mean_db": field_key(_TARG, "mean_db", "harsh anchor mean", read_if=_CURRICULUM),
+        "targ_std_db": field_key(_TARG, "std_db", "harsh anchor std", read_if=_CURRICULUM),
+        "sigma_p": field_key(CurriculumConfig, "sigma_p", "perturbation std", read_if=_CURRICULUM),
         "alpha_schedule": ParamSpec(
             "string", "linear", "linear | exponential",
             choices=("linear", "exponential"), read_if=_CURRICULUM,
         ),
-        "alpha_start": ParamSpec("int", 0, "step where linear decay begins", read_if=_LINEAR),
-        "alpha_end": ParamSpec(
-            "int", None, "step where linear decay reaches 0 (default: steps)", read_if=_LINEAR
+        "alpha_start": field_key(LinearDecay, "k_start", "step where linear decay begins", read_if=_LINEAR),
+        "alpha_end": field_key(
+            LinearDecay, "k_end", "step where linear decay reaches 0 (default: steps)", read_if=_LINEAR
         ),
-        "alpha_rate": ParamSpec(
-            "number", 0.005, "exponential decay rate", read_if=_EXPONENTIAL, minimum=0, strict=True
-        ),
+        "alpha_rate": field_key(ExponentialDecay, "rate", "exponential decay rate", read_if=_EXPONENTIAL),
     },
 }
 
 STOCHASTIC_KINDS = ("per-sweep", "train", "gradcheck")
-
-# Where every module tunable surfaces in the schemas; "fixed:" entries are
-# derived quantities or deliberate constants. The completeness test walks this.
-TUNABLE_REGISTRY: dict[str, dict[str, str]] = {
-    "pipeline.TimingParams": {
-        "delta": "latency.delta_ms",
-        "delta_tilde": "latency.delta_tilde_ms",
-        "rounds": "latency.rounds",
-        "min_forward": "latency.min_forward_ms",
-    },
-    "harq.HarqConfig": {
-        "k": "per-sweep.k",
-        "max_attempts": "per-sweep.harq_max_attempts",
-        "use_crc16": "per-sweep.harq_use_crc16",
-    },
-    "afc.AfcConfig": {f.name: "train.model" for f in dataclasses.fields(AfcConfig)},
-    "training.TrainConfig": {
-        "steps": "train.steps",
-        "batch_size": "train.batch_size",
-        "learning_rate": "train.learning_rate",
-        "seed": "fixed: top-level --seed option shared by every kind",
-        "fixed_snr_db": "train.fixed_snr_db",
-        "noiseless_uplink": "train.noiseless_uplink",
-        "feedback_snr_db": "train.feedback_snr_db",
-    },
-    "training.CurriculumConfig": {
-        "p_orig": "train.orig_mean_db",
-        "p_targ": "train.targ_mean_db",
-        "schedule": "train.alpha_schedule",
-        "sigma_p": "train.sigma_p",
-        "total_steps": "train.steps",
-    },
-    "channel.MeanRevertingTrace": {
-        "mean_db": "per-sweep.snr_grid",
-        "reversion_rate": "per-sweep.uplink_trace",
-        "volatility": "per-sweep.uplink_trace",
-        "start_db": "per-sweep.uplink_trace",
-    },
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -305,12 +275,10 @@ def config_hash(config: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _timing_from_params(p: dict) -> TimingParams:
-    return TimingParams(p["delta_ms"], p["delta_tilde_ms"], p["rounds"], p["min_forward_ms"])
-
-
 def _run_latency(p: dict, seed, out: Path) -> list[str]:
-    t = _timing_from_params(p)
+    t = built(TimingParams, p, TIMING_KEYS)
+    if sync_latency(t) == 0:
+        raise ConfigError("params.delta_ms: must be > 0 while delta_tilde_ms is 0: the sync total is 0 ms")
     payload = {
         "delta_ms": t.delta,
         "delta_tilde_ms": t.delta_tilde,
@@ -346,7 +314,7 @@ def _run_timeline(p: dict, seed, out: Path) -> list[str]:
             raise ConfigError(f"params.jitter.{key}: expected a finite number >= 0, got {value!r}")
         jitter[round_of[key]] = float(value)
     tl = simulate_timeline(
-        _timing_from_params(p),
+        built(TimingParams, p, TIMING_KEYS),
         p["mode"],
         inference_jitter=jitter,
         feedback_lag=p.get("feedback_lag", 2),  # the sync schedule does not read it
@@ -365,13 +333,15 @@ def _run_timeline(p: dict, seed, out: Path) -> list[str]:
 
 def _run_coverage(p: dict, seed, out: Path) -> list[str]:
     reports = [
-        coverage_report(
+        reported(
+            f"params.schemes[{i}]",
+            coverage_report,
             entry["scheme"],
             float(entry["delta_snr_db"]),
             float(p["exponent"]),
             reported_distance_ratio=entry.get("reported_distance_ratio"),
         )
-        for entry in p["schemes"]
+        for i, entry in enumerate(p["schemes"])
     ]
     write_json(out / "coverage.json", reports)
     return ["coverage.json"]
@@ -420,8 +390,8 @@ def _uplink_trace(trace: dict | None):
     if trace is None:
         return None
     if trace.get("kind") != "piecewise":
-        fields = {key: value for key, value in trace.items() if key != "kind"}
-        return lambda mean_db: MeanRevertingTrace(mean_db, **fields)
+        at_zero = built(MeanRevertingTrace, trace, TRACE_KEYS, "params.uplink_trace", mean_db=0.0)
+        return lambda mean_db: dataclasses.replace(at_zero, mean_db=mean_db)
     points = trace.get("points", [])
     if not all(isinstance(pt, list) and len(pt) == 2 and all(map(finite_number, pt)) for pt in points):
         raise ConfigError("params.uplink_trace.points: expected a list of finite [time_ms, snr_db] pairs")
@@ -432,10 +402,8 @@ def _uplink_trace(trace: dict | None):
 def _run_per_sweep(p: dict, seed: int, out: Path) -> list[str]:
     grid = expand_grid(p["snr_grid"], "snr_grid")
     scheme = p["scheme"]
-    if p.get("harq_use_crc16") and p["k"] <= CRC16_LEN:
-        raise ConfigError(f"params.k: the CRC-16 needs k > {CRC16_LEN}, got {p['k']}")
     if scheme == "harq-cc":
-        trial = harq_trial_fn(HarqConfig(p["k"], p["harq_max_attempts"], p["harq_use_crc16"]))
+        trial = harq_trial_fn(built(HarqConfig, p, SCHEMAS["per-sweep"]))
     elif scheme == "uncoded":
         trial = uncoded_bpsk_trial_fn(p["k"])
     else:
@@ -464,30 +432,20 @@ def _curriculum(p: dict) -> CurriculumConfig:
     """The train curriculum; at a fixed SNR, which bypasses it, the default."""
     if p["fixed_snr_db"] is not None:
         return CurriculumConfig()
-    if p["alpha_schedule"] == "linear":
-        schedule = LinearDecay(p["alpha_start"], p["alpha_end"])
-    else:
-        schedule = ExponentialDecay(p["alpha_rate"])
-    return CurriculumConfig(
-        GaussianAnchor(p["orig_mean_db"], p["orig_std_db"]),
-        GaussianAnchor(p["targ_mean_db"], p["targ_std_db"]),
-        schedule,
-        p["sigma_p"],
-        p["steps"],
+    table = SCHEMAS["train"]
+    schedule = LinearDecay if p["alpha_schedule"] == "linear" else ExponentialDecay
+    return built(
+        CurriculumConfig, p, table,
+        p_orig=built(_ORIG, p, table),
+        p_targ=built(_TARG, p, table),
+        schedule=built(schedule, p, table),
+        total_steps=p["steps"],
     )
 
 
 def _run_train(p: dict, seed: int, out: Path) -> list[str]:
     model = AfcModel(reported("params.model", AfcConfig, **(p["model"] or {})), seed=seed)
-    tc = TrainConfig(
-        steps=p["steps"],
-        batch_size=p["batch_size"],
-        learning_rate=p["learning_rate"],
-        seed=seed,
-        fixed_snr_db=p["fixed_snr_db"],
-        noiseless_uplink=p["noiseless_uplink"],
-        feedback_snr_db=p["feedback_snr_db"],
-    )
+    tc = built(TrainConfig, p, SCHEMAS["train"], seed=seed)
     try:
         history = train(model, _curriculum(p), tc)
     except NumericalFailure as exc:

@@ -26,6 +26,7 @@ from .convcode import (
     viterbi_decode_batch,
 )
 from .errors import ConfigError
+from .keys import bounded, check_bounds
 
 CRC16_POLY = 0x1021  # CCITT
 CRC16_LEN = 16
@@ -33,15 +34,14 @@ CRC16_LEN = 16
 
 @dataclass
 class HarqConfig:
-    k: int = 47
-    max_attempts: int = 3
+    k: int = bounded(1, default=47)
+    max_attempts: int = bounded(1, default=3)
     use_crc16: bool = False
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
+        check_bounds(self)
         if self.use_crc16 and self.k <= CRC16_LEN:
-            raise ConfigError("k must exceed the CRC-16 length")
+            raise ConfigError(f"k: the CRC-16 needs k > {CRC16_LEN}, got {self.k}")
 
 
 def crc16(bits: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigError, InputDomainError
+from .keys import bounded, check_bounds
 from .results import emit_results
 
 EVENT_KINDS = (
@@ -48,17 +49,12 @@ class TimingParams:
     tau_tx = min(delta, min_forward): a burst takes the minimum air time.
     """
 
-    delta: float = 10.0
-    delta_tilde: float = 4.0
-    rounds: int = 9
-    min_forward: float = 1.0
+    delta: float = bounded(0, default=10.0)
+    delta_tilde: float = bounded(0, default=4.0)
+    rounds: int = bounded(1, default=9)
+    min_forward: float = bounded(0, default=1.0)
 
-    def __post_init__(self):
-        for name in ("delta", "delta_tilde", "min_forward"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
+    __post_init__ = check_bounds
 
     @property
     def tau_tx(self) -> float:
@@ -91,14 +87,21 @@ def async_latency(p: TimingParams) -> float:
     return p.delta + (p.rounds - 1) * p.delta_tilde + p.rounds * async_delta_prime(p)
 
 
+def _nonzero_sync_latency(p: TimingParams) -> float:
+    total = sync_latency(p)
+    if total == 0:
+        raise InputDomainError("the lock-step total is 0 ms: delta and delta_tilde are both 0")
+    return total
+
+
 def latency_reduction(p: TimingParams) -> float:
     """Fractional saving of pipelined over lock-step coding."""
-    return 1.0 - async_latency(p) / sync_latency(p)
+    return 1.0 - async_latency(p) / _nonzero_sync_latency(p)
 
 
 def sync_forward_share(p: TimingParams) -> float:
     """Fraction of the lock-step total spent in forward intervals."""
-    return p.rounds * p.delta / sync_latency(p)
+    return p.rounds * p.delta / _nonzero_sync_latency(p)
 
 
 # ---------------------------------------------------------------------------

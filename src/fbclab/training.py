@@ -19,7 +19,8 @@ from scipy.special import ndtr
 from . import autodiff as ad
 from .afc import AfcModel, forward_backward, logits_to_bits, session_graph
 from .channel import TraceKind, sample_traces
-from .errors import ConfigError, NumericalFailure
+from .errors import NumericalFailure
+from .keys import bounded, check_bounds
 from .layers import Module
 from .results import emit_results
 
@@ -29,11 +30,9 @@ HISTORY_CSV_HEADER = ["step", "loss", "alpha", "mean_snr_db"]
 @dataclass
 class GaussianAnchor:
     mean_db: float
-    std_db: float
+    std_db: float = bounded(0)
 
-    def __post_init__(self):
-        if self.std_db < 0:
-            raise ConfigError("anchor std must be >= 0")
+    __post_init__ = check_bounds
 
 
 @dataclass
@@ -46,11 +45,9 @@ class LinearDecay:
 
 @dataclass
 class ExponentialDecay:
-    rate: float
+    rate: float = bounded(0, default=0.005, strict=True)
 
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ConfigError("decay rate must be > 0")
+    __post_init__ = check_bounds
 
 
 AlphaSchedule = Union[LinearDecay, ExponentialDecay]
@@ -61,14 +58,10 @@ class CurriculumConfig:
     p_orig: GaussianAnchor = field(default_factory=lambda: GaussianAnchor(8.0, 1.0))
     p_targ: GaussianAnchor = field(default_factory=lambda: GaussianAnchor(0.0, 1.0))
     schedule: AlphaSchedule = field(default_factory=LinearDecay)
-    sigma_p: float = 1.0
-    total_steps: int = 1000
+    sigma_p: float = bounded(0, default=1.0)
+    total_steps: int = bounded(1, default=1000)
 
-    def __post_init__(self):
-        if self.sigma_p < 0:
-            raise ConfigError("sigma_p must be >= 0")
-        if self.total_steps < 1:
-            raise ConfigError("total_steps must be >= 1")
+    __post_init__ = check_bounds
 
     def alpha(self, k: int) -> float:
         if isinstance(self.schedule, LinearDecay):
@@ -103,19 +96,15 @@ def mixture_cdf(x, alpha: float, config: CurriculumConfig):
 
 @dataclass
 class TrainConfig:
-    steps: int = 1000
-    batch_size: int = 64
-    learning_rate: float = 1e-3
+    steps: int = bounded(1, default=1000)
+    batch_size: int = bounded(1, default=64)
+    learning_rate: float = bounded(0, default=1e-3, strict=True)
     seed: int = 0
     fixed_snr_db: float | None = None  # set -> curriculum bypassed
     noiseless_uplink: bool = False
     feedback_snr_db: float | None = None  # None -> ideal feedback
 
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+    __post_init__ = check_bounds
 
 
 class Adam:

@@ -458,6 +458,8 @@ def test_checkpoint_config_errors_name_the_key(tmp_path):
         load_checkpoint(with_config(json.dumps({**config, "d_model": "8"}).encode()))
     with pytest.raises(ConfigError, match=r"^checkpoint\.config\.d_model: must be >= 1, got 0$"):
         load_checkpoint(with_config(json.dumps({**config, "d_model": 0}).encode()))
+    with pytest.raises(ConfigError, match=r"^checkpoint\.config\.fb_layers: must be >= 1, got 0$"):
+        load_checkpoint(with_config(json.dumps({**config, "fb_layers": 0}).encode()))
     with pytest.raises(ConfigError, match=r"^checkpoint\.config: invalid JSON"):
         load_checkpoint(with_config(b'{"block_size": 3,'))
     with pytest.raises(ConfigError, match=r"^checkpoint\.config: expected an object"):

@@ -39,6 +39,19 @@ def test_density_ratio_values():
         assert density_ratio(distance_ratio(d, 3)) == pytest.approx(10 ** (-d / 15.0))
 
 
+def test_ratios_beyond_the_float_range():
+    # Past the float range a ratio reads inf or 0, which coverage_report
+    # rejects under the argument it comes from.
+    assert distance_ratio(8.6, 0.001) == math.inf
+    assert distance_ratio(-8.6, 0.001) == 0.0
+    assert density_ratio(1e-200) == math.inf
+    assert density_ratio(1e200) == 0.0
+    with pytest.raises(InputDomainError, match=r"^delta_snr_db: 8\.6 dB at exponent 0\.001 gives"):
+        coverage_report("x", 8.6, 0.001)
+    with pytest.raises(InputDomainError, match=r"^reported_distance_ratio: distance ratio 1e-200 gives"):
+        coverage_report("x", 1.0, 3.0, reported_distance_ratio=1e-200)
+
+
 def test_sensitivity_interpolation():
     assert sensitivity_from_per_curve([(0.0, 1e-2), (2.0, 1e-4)], 1e-3) == pytest.approx(1.0)
     assert sensitivity_from_per_curve([(0.0, 1e-2), (2.0, 1e-4)], 1e-2) == 0.0

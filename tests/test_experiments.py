@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -18,13 +19,13 @@ from fbclab.cli import main
 from fbclab.errors import ConfigError
 from fbclab.experiments import (
     SCHEMAS,
-    TUNABLE_REGISTRY,
     ExperimentConfig,
     config_hash,
     expand_grid,
     run_experiment,
     validate_params,
 )
+from fbclab.keys import OPTIONAL
 from fbclab.results import emit_results, parse_results
 
 # The keys each per-sweep scheme reads beyond the common ones, the train keys
@@ -76,13 +77,16 @@ def test_model_field_types_checked(tmp_path, capsys, field, value, message):
 
 @pytest.mark.parametrize("field, value", [
     ("d_model", 0), ("snr_emb_dim", 0), ("ff_dim", -1), ("rounds", 0), ("enc_layers", 9),
-    ("sparse_ff_window", -1),
+    ("sparse_ff_window", -1), ("enc_layers", 0), ("dec_layers", 0), ("fb_layers", -1),
 ])
 def test_model_sizes_below_one_rejected(tmp_path, capsys, field, value):
     # AfcConfig's own value checks name the field; every kind that builds a
     # codec reports them under params.model.
-    texts = {"enc_layers": "encoder depth 9 exceeds dec_layers", "sparse_ff_window": "must be >= 0, got -1"}
-    message = f"{field}: {texts.get(field, f'must be >= 1, got {value}')}"
+    texts = {
+        ("enc_layers", 9): "encoder depth 9 exceeds dec_layers",
+        ("sparse_ff_window", -1): "must be >= 0, got -1",
+    }
+    message = f"{field}: {texts.get((field, value), f'must be >= 1, got {value}')}"
     with pytest.raises(ConfigError, match="^" + re.escape(message)):
         AfcConfig(**{field: value})
     for kind in ("train", "gradcheck", "complexity"):
@@ -518,6 +522,29 @@ def test_malformed_coverage_entry_rejected(entry, key, tmp_path, capsys):
                          f"params.schemes[1].{key}: ", tmp_path, capsys)
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"exponent": 0.001}, "schemes[0].delta_snr_db: 8.6 dB at exponent 0.001 gives a distance ratio of inf"),
+    ({"exponent": 0.001, "schemes": [{"scheme": "x", "delta_snr_db": -8.6}]},
+     "schemes[0].delta_snr_db: -8.6 dB at exponent 0.001 gives a distance ratio of 0"),
+    ({"schemes": [{"scheme": "x", "delta_snr_db": 1.0}, {"scheme": "y", "delta_snr_db": -4700.0}]},
+     "schemes[1].delta_snr_db: distance ratio 2.15443e-157 gives a density ratio of inf"),
+    ({"schemes": [{"scheme": "x", "delta_snr_db": 1.0, "reported_distance_ratio": 1e200}]},
+     "schemes[0].reported_distance_ratio: distance ratio 1e+200 gives a density ratio of 0"),
+], ids=["distance-inf", "distance-zero", "density-inf", "reported-density-zero"])
+def test_coverage_ratio_beyond_the_floats_is_a_config_error(params, message, tmp_path, capsys):
+    # The library used to overflow, divide by zero, or write a density of 0.
+    flags = [arg for key, value in params.items() for arg in (f"--{key}", json.dumps(value))]
+    _rejected_everywhere("coverage", params, flags,
+                         f"params.{message}, not a finite positive float", tmp_path, capsys)
+
+
+def test_latency_sweep_keeps_its_zero_totals(tmp_path):
+    params = {"deltas": [0], "delta_tildes": [0]}
+    run_experiment(ExperimentConfig("latency-sweep", params, None, str(tmp_path)))
+    rows = list(csv.DictReader((tmp_path / "latency_sweep.csv").read_text().splitlines()))
+    assert [(row["mode"], float(row["total_ms"])) for row in rows] == [("sync", 0.0), ("async", 9.0)]
+
+
 @pytest.mark.parametrize("value", ["nan", "12", True, -100, float("inf"), None])
 def test_jitter_must_be_a_finite_non_negative_number(value, tmp_path, capsys):
     jitter = {"5": value}
@@ -546,6 +573,7 @@ def _domain_case(kind, key, value, message="", **given):
     _domain_case("coverage", "exponent", 0.0),
     _domain_case("coverage", "exponent", -3.0),
     _domain_case("latency", "delta_ms", -1),
+    _domain_case("latency", "delta_ms", 0, "must be > 0 while delta_tilde_ms is 0", delta_tilde_ms=0),
     _domain_case("latency", "min_forward_ms", -0.5),
     _domain_case("timeline", "delta_tilde_ms", -2),
     _domain_case("latency-sweep", "deltas", [-1, 2]),
@@ -896,31 +924,73 @@ def test_every_schema_key_is_read(tmp_path, monkeypatch):
     assert {kind: keys for kind, keys in unknown.items() if keys} == {}
 
 
-def test_tunable_registry_covers_dataclasses():
-    from fbclab.afc import AfcConfig
+# The fields of the library configs that no key sets: `--seed` sets the
+# trainer's seed, `steps` also sets the curriculum's length, the grid point a
+# trace's mean, and the runner assembles the anchors and the schedule from the
+# keys that set their own fields.
+SET_ELSEWHERE = {
+    "TrainConfig.seed", "CurriculumConfig.total_steps", "MeanRevertingTrace.mean_db",
+    "CurriculumConfig.p_orig", "CurriculumConfig.p_targ", "CurriculumConfig.schedule",
+}
+# What a key states apart from the field it sets: a pipelined schedule needs
+# two rounds, and a trace's start may be left out but not null.
+KEY_OVERRIDES = {
+    ("latency", "rounds"): {"minimum": 2},
+    ("latency-sweep", "rounds"): {"minimum": 2},
+    ("per-sweep.uplink_trace", "start_db"): {"default": OPTIONAL},
+}
+FIELD_TYPES = {"float": "number", "int": "int", "bool": "bool"}
+
+
+def _key_tables():
+    """(where, table) for every level of every kind's params."""
+    pending = list(SCHEMAS.items())
+    while pending:
+        where, table = pending.pop()
+        yield where, table
+        pending += [(f"{where}.{key}", spec.keys) for key, spec in table.items() if spec.keys]
+
+
+def test_every_key_states_the_field_it_sets():
     from fbclab.channel import MeanRevertingTrace
     from fbclab.harq import HarqConfig
     from fbclab.pipeline import TimingParams
-    from fbclab.training import CurriculumConfig, TrainConfig
+    from fbclab.training import CurriculumConfig, ExponentialDecay, GaussianAnchor, LinearDecay, TrainConfig
 
-    classes = {
-        "pipeline.TimingParams": TimingParams,
-        "harq.HarqConfig": HarqConfig,
-        "afc.AfcConfig": AfcConfig,
-        "training.TrainConfig": TrainConfig,
-        "training.CurriculumConfig": CurriculumConfig,
-        "channel.MeanRevertingTrace": MeanRevertingTrace,
-    }
-    for name, cls in classes.items():
-        registry = TUNABLE_REGISTRY[name]
-        for field in dataclasses.fields(cls):
-            assert field.name in registry, f"{name}.{field.name} unreachable from config"
-        for field, target in registry.items():
-            if target.startswith("fixed:"):
+    set_by_keys = set()
+    for where, table in _key_tables():
+        for key, spec in table.items():
+            if spec.sets is None:
                 continue
-            kind, _, key = target.partition(".")
-            assert kind in SCHEMAS, target
-            assert key in SCHEMAS[kind], target
+            owner, name = spec.sets
+            field = next(f for f in dataclasses.fields(owner) if f.name == name)
+            expected = {
+                "type": FIELD_TYPES[field.type.removesuffix(" | None")],
+                "default": field.default if isinstance(owner, type) else getattr(owner, name),
+                # AfcConfig checks its own bounds when a runner builds it.
+                "minimum": None if owner is AfcConfig else field.metadata.get("minimum"),
+                "strict": field.metadata.get("strict", False),
+                **KEY_OVERRIDES.get((where, key), {}),
+            }
+            assert {attr: getattr(spec, attr) for attr in expected} == expected, f"{where}.{key}"
+            set_by_keys.add(f"{(owner if isinstance(owner, type) else type(owner)).__name__}.{name}")
+    classes = (TimingParams, HarqConfig, AfcConfig, TrainConfig, CurriculumConfig, GaussianAnchor,
+               LinearDecay, ExponentialDecay, MeanRevertingTrace)
+    every = {f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls)}
+    assert sorted(every - set_by_keys - SET_ELSEWHERE) == []
+    assert sorted(SET_ELSEWHERE & set_by_keys) == []
+
+
+def test_built_object_reports_a_field_fault_under_its_key():
+    from fbclab.harq import HarqConfig
+    from fbclab.keys import built
+
+    table = SCHEMAS["per-sweep"]
+    assert built(HarqConfig, {"k": 20, "harq_use_crc16": True}, table) == HarqConfig(20, 3, True)
+    with pytest.raises(ConfigError, match=r"^params\.harq_max_attempts: must be >= 1, got 0$"):
+        built(HarqConfig, {"harq_max_attempts": 0}, table)
+    with pytest.raises(ConfigError, match=r"^params\.k: the CRC-16 needs k > 16, got 16$"):
+        built(HarqConfig, {"k": 16, "harq_use_crc16": True}, table)
 
 
 def test_package_import_leaves_scipy_stats_out():

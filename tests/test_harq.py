@@ -140,7 +140,7 @@ def test_crc_acked_session_with_wrong_bits_is_an_error(monkeypatch):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^max_attempts: must be >= 1, got 0$"):
         HarqConfig(max_attempts=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^k: the CRC-16 needs k > 16, got 10$"):
         HarqConfig(k=10, use_crc16=True)

@@ -42,6 +42,21 @@ def test_degenerate_sync_cases():
     assert sync_latency(TimingParams(7, 3, 1)) == 7
 
 
+def test_closed_forms_reject_a_zero_sync_total():
+    idle = TimingParams(0, 0, 9)
+    assert sync_latency(idle) == 0
+    for closed_form in (latency_reduction, sync_forward_share):
+        with pytest.raises(InputDomainError, match="^the lock-step total is 0 ms"):
+            closed_form(idle)
+
+
+def test_timing_bounds_name_the_field():
+    with pytest.raises(ConfigError, match=r"^delta: must be >= 0, got -1$"):
+        TimingParams(delta=-1)
+    with pytest.raises(ConfigError, match=r"^rounds: must be >= 1, got 0$"):
+        TimingParams(rounds=0)
+
+
 def test_async_requires_two_rounds():
     p = TimingParams(10, 4, 1)
     with pytest.raises(InputDomainError):

@@ -232,7 +232,6 @@ TEST_REFERENCES = {
     "mixture_cdf": "criterion 08's Kolmogorov-Smirnov reference for the curriculum draws",
     "parse_results": "the reader of the format emit_results writes",
     "sensitivity_from_per_curve": "the first link of the coverage chain that reads PER curves",
-    "TUNABLE_REGISTRY": "the completeness test's map from dataclass fields to schema keys",
 }
 
 

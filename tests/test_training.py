@@ -233,13 +233,13 @@ def test_adam_matches_reference_step():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^sigma_p: must be >= 0, got -1\.0$"):
         CurriculumConfig(sigma_p=-1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^batch_size: must be >= 1, got 0$"):
         TrainConfig(batch_size=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^std_db: must be >= 0, got -1\.0$"):
         GaussianAnchor(0.0, -1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^rate: must be > 0, got 0\.0$"):
         ExponentialDecay(0.0)
 
 
