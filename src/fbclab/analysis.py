@@ -18,9 +18,6 @@ import numpy as np
 
 from .errors import ConfigError, InputDomainError, RangeError
 from .keys import bounded, check_bounds
-from .results import emit_results
-
-FPGA_CSV_HEADER = ["family", "dsp_gmacs", "peak_gflops", "latency_us"]
 
 
 @dataclass
@@ -109,21 +106,22 @@ def fpga_encode_latency(flops: float, spec: FpgaSpec) -> float:
     return flops / (spec.peak_gflops * 1e9)
 
 
-def fpga_report(flops: float, specs: list[FpgaSpec] | None = None) -> list[dict]:
+@dataclass
+class FpgaRow:
+    """A row of the FPGA table: a device family's peak and its encode latency."""
+
+    family: str
+    dsp_gmacs: float
+    peak_gflops: float
+    latency_us: float
+
+
+def fpga_report(flops: float, specs: list[FpgaSpec] | None = None) -> list[FpgaRow]:
     specs = FPGA_FAMILIES if specs is None else specs
     return [
-        {
-            "family": s.name,
-            "dsp_gmacs": s.dsp_gmacs,
-            "peak_gflops": s.peak_gflops,
-            "latency_us": fpga_encode_latency(flops, s) * 1e6,
-        }
+        FpgaRow(s.name, s.dsp_gmacs, s.peak_gflops, fpga_encode_latency(flops, s) * 1e6)
         for s in specs
     ]
-
-
-def fpga_report_csv(rows: list[dict], path) -> None:
-    emit_results(rows, path, FPGA_CSV_HEADER)
 
 
 def coverage_report(

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .afc import MODEL_KEYS, AfcConfig, AfcModel, count_complexity, load_checkpoint, save_checkpoint
-from .analysis import coverage_report, fpga_report, fpga_report_csv
+from .analysis import FpgaRow, coverage_report, fpga_report
 from .channel import MeanRevertingTrace, PiecewiseTrace
 from .errors import ConfigError, NumericalFailure
 from .gradcheck import run_gradient_checks
@@ -41,18 +41,18 @@ from .keys import (
 )
 from .per import measure_per, usable_cpus, write_per_csv
 from .pipeline import (
+    SweepRow,
+    TimelineEvent,
     TimingParams,
     async_delta_prime,
     async_latency,
     latency_reduction,
     latency_sweep,
     simulate_timeline,
-    sweep_to_csv,
     sync_forward_share,
     sync_latency,
-    timeline_to_csv,
 )
-from .results import canonical, write_json
+from .results import canonical, emit_results, write_json
 from .training import (
     CurriculumConfig,
     ExponentialDecay,
@@ -127,10 +127,6 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
     "timeline": {
         **TIMING_KEYS,
         "mode": ParamSpec("string", "async", "sync or async", choices=("sync", "async")),
-        "feedback_lag": ParamSpec(
-            "int", 2, "rounds between a transmission and usable feedback",
-            read_if=(_chosen("mode", "async"),), minimum=2,
-        ),
         "jitter": ParamSpec("dict", None, "extra encode ms per round, e.g. {\"5\": 100}"),
     },
     "coverage": {
@@ -296,7 +292,7 @@ def _run_latency(p: dict, seed, out: Path) -> list[str]:
 def _run_latency_sweep(p: dict, seed, out: Path) -> list[str]:
     deltas, delta_tildes = (expand_grid(p[k], k, minimum=0) for k in ("deltas", "delta_tildes"))
     rows = latency_sweep(deltas, delta_tildes, p["rounds"], p["min_forward_ms"])
-    sweep_to_csv(rows, out / "latency_sweep.csv")
+    emit_results(rows, out / "latency_sweep.csv", SweepRow)
     return ["latency_sweep.csv"]
 
 
@@ -313,13 +309,8 @@ def _run_timeline(p: dict, seed, out: Path) -> list[str]:
         if not (finite_number(value) and value >= 0):
             raise ConfigError(f"params.jitter.{key}: expected a finite number >= 0, got {value!r}")
         jitter[round_of[key]] = float(value)
-    tl = simulate_timeline(
-        built(TimingParams, p, TIMING_KEYS),
-        p["mode"],
-        inference_jitter=jitter,
-        feedback_lag=p.get("feedback_lag", 2),  # the sync schedule does not read it
-    )
-    timeline_to_csv(tl, out / "timeline.csv")
+    tl = simulate_timeline(built(TimingParams, p, TIMING_KEYS), p["mode"], inference_jitter=jitter)
+    emit_results(tl.events, out / "timeline.csv", TimelineEvent)
     write_json(
         out / "timeline_summary.json",
         {
@@ -370,7 +361,7 @@ def _run_complexity(p: dict, seed, out: Path) -> list[str]:
         ),
     }
     write_json(out / "complexity.json", payload)
-    fpga_report_csv(fpga_report(light["flops_per_session"]), out / "fpga.csv")
+    emit_results(fpga_report(light["flops_per_session"]), out / "fpga.csv", FpgaRow)
     return ["complexity.json", "fpga.csv"]
 
 

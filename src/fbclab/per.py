@@ -8,20 +8,17 @@ binomial.
 
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .results import emit_results
+from .results import emit_results, parse_results
 
 TrialFn = Callable[[float, np.random.Generator, int], np.ndarray]
-
-PER_CSV_HEADER = ["snr_db", "per", "ci_low", "ci_high", "trials", "errors"]
 
 
 @dataclass
@@ -101,17 +98,10 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# A function of its own, so the benchmark's tracer can count per.csv bytes by its name.
 def write_per_csv(points: list[PerPoint], path) -> None:
-    emit_results([asdict(p) for p in points], path, PER_CSV_HEADER)
+    emit_results(points, path, PerPoint)
 
 
 def read_per_csv(path) -> list[PerPoint]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != PER_CSV_HEADER:
-            raise ConfigError(f"unexpected PER header: {header}")
-        return [
-            PerPoint(float(s), float(p), float(lo), float(hi), int(t), int(e))
-            for s, p, lo, hi, t, e in reader
-        ]
+    return parse_results(path, PerPoint)

@@ -11,21 +11,24 @@ delta + (T-1)*delta_tilde + T*delta_prime. Only the event times, not the
 totals, depend on how delta splits into encoding and air time.
 
 The simulator builds the granted slot schedule for the chosen mode and runs
-encode jobs against it. With zero jitter every job meets its slot and the
-emergent total equals the closed form; with jitter, a round whose encoding
-finishes after its slot start emits one SlotSkipped event and the remaining
-schedule shifts to the next feasible slot boundary (the empty-slot safeguard
-of a deadline-driven radio).
+encode jobs against it; a pipelined encode always waits for the feedback two
+rounds back, the lag its slot grid and the closed form assume. With zero jitter
+every job meets its slot and the emergent total equals the closed form; with
+jitter, a round whose encoding finishes after its slot start emits one
+SlotSkipped event and the remaining schedule shifts to the next feasible slot
+boundary (the empty-slot safeguard of a deadline-driven radio).
+
+`TimelineEvent` and `SweepRow` are the records of `timeline.csv` and
+`latency_sweep.csv`: their fields are the files' columns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import ConfigError, InputDomainError
 from .keys import bounded, check_bounds
-from .results import emit_results
 
 EVENT_KINDS = (
     "EncodeStart",
@@ -36,9 +39,6 @@ EVENT_KINDS = (
     "FbEnd",
     "SlotSkipped",
 )
-
-TIMELINE_CSV_HEADER = ["round", "kind", "time_ms"]
-SWEEP_CSV_HEADER = ["delta_ms", "delta_tilde_ms", "mode", "delta_prime_ms", "total_ms"]
 
 
 @dataclass
@@ -113,7 +113,7 @@ def sync_forward_share(p: TimingParams) -> float:
 class TimelineEvent:
     round: int
     kind: str
-    time: float
+    time_ms: float
 
 
 @dataclass
@@ -128,7 +128,6 @@ def simulate_timeline(
     p: TimingParams,
     mode: str,
     inference_jitter: dict[int, float] | None = None,
-    feedback_lag: int = 2,
 ) -> Timeline:
     """Play out one session against the granted slot schedule.
 
@@ -142,8 +141,6 @@ def simulate_timeline(
         raise ConfigError(f"mode must be 'sync' or 'async', got {mode!r}")
     if mode == "async" and p.rounds < 2:
         raise InputDomainError("the pipelined schedule needs rounds >= 2")
-    if mode == "async" and feedback_lag < 2:
-        raise ConfigError("the pipelined schedule requires feedback_lag >= 2")
     jitter = inference_jitter or {}
 
     T = p.rounds
@@ -160,21 +157,20 @@ def simulate_timeline(
     events: list[TimelineEvent] = []
     skipped: list[int] = []
     shift = 0.0
-    enc_end: list[float] = []
     fb_end: list[float] = []
     tx_end: list[float] = []
 
     for t in range(T):
-        if mode == "sync":
-            ready = 0.0 if t == 0 else fb_end[t - 1]
+        # Lock-step encoding waits for the last round's feedback; pipelined
+        # encoding for feedback t-2, or for encode(0) in round 1.
+        if t == 0:
+            e_start = 0.0
+        elif mode == "sync":
+            e_start = fb_end[t - 1]
+        elif t == 1:
+            e_start = e_end
         else:
-            if t >= feedback_lag:
-                ready = fb_end[t - feedback_lag]
-            elif t == 0:
-                ready = 0.0
-            else:
-                ready = enc_end[t - 1]
-        e_start = ready
+            e_start = fb_end[t - 2]
         e_end = e_start + p.tau_enc + jitter.get(t, 0.0)
 
         slot = nominal_tx_start[t] + shift
@@ -186,7 +182,6 @@ def simulate_timeline(
             slot += periods * period
 
         t_end = slot + p.tau_tx
-        enc_end.append(e_end)
         tx_end.append(t_end)
         events.append(TimelineEvent(t, "EncodeStart", e_start))
         events.append(TimelineEvent(t, "EncodeEnd", e_end))
@@ -199,13 +194,8 @@ def simulate_timeline(
             events.append(TimelineEvent(t, "FbEnd", t_end + dtail))
 
     order = {k: i for i, k in enumerate(EVENT_KINDS)}
-    events.sort(key=lambda e: (e.time, e.round, order[e.kind]))
+    events.sort(key=lambda e: (e.time_ms, e.round, order[e.kind]))
     return Timeline(events, tx_end[-1], mode, skipped)
-
-
-def timeline_to_csv(tl: Timeline, path) -> None:
-    records = [dict(zip(TIMELINE_CSV_HEADER, (e.round, e.kind, e.time))) for e in tl.events]
-    emit_results(records, path, TIMELINE_CSV_HEADER)
 
 
 @dataclass
@@ -232,7 +222,3 @@ def latency_sweep(
             rows.append(SweepRow(d, dt, "sync", d, sync_latency(p)))
             rows.append(SweepRow(d, dt, "async", async_delta_prime(p), async_latency(p)))
     return rows
-
-
-def sweep_to_csv(rows: list[SweepRow], path) -> None:
-    emit_results([asdict(r) for r in rows], path, SWEEP_CSV_HEADER)

@@ -6,9 +6,12 @@ over the target. A reader never sees a partial file, and a failed write
 leaves the previous file untouched and no temp file behind. The file gets the
 mode a plain `open()` would give it (0o666 less the umask).
 
-Records are written as CSV in the `csv` module's default dialect (rows end in
-"\\r\\n", cells are quoted only when needed), other payloads as indented
-JSON with sorted keys; floats carry 9 significant digits.
+A CSV format is stated once, as a record dataclass: its columns are the
+record's fields in order. `emit_results` writes a list of records in the `csv`
+module's default dialect (rows end in "\\r\\n", cells are quoted only when
+needed), and `parse_results` reads them back typed by the fields' annotations.
+Other payloads are indented JSON with sorted keys; floats carry 9 significant
+digits.
 
 This module imports nothing from the package but `errors`, so every module
 that writes results can use it without an import cycle.
@@ -17,9 +20,11 @@ that writes results can use it without an import cycle.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
+import typing
 import uuid
 from pathlib import Path
 
@@ -73,8 +78,6 @@ def write_json(path, payload) -> None:
 
 
 def _cell(v) -> str:
-    if isinstance(v, bool):
-        return str(v).lower()
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
@@ -82,45 +85,49 @@ def _cell(v) -> str:
     return str(v)
 
 
-def emit_results(records: list[dict], path, columns: list[str]) -> None:
-    """Write records as CSV under the header `columns`, floats at 9
+def emit_results(records: list, path, record: type) -> None:
+    """Write instances of the dataclass `record` as CSV, floats at 9
     significant digits.
 
-    Every record must have exactly those keys, in that order, and an empty
-    list gets the header alone. Strings are written as given, so a caller
-    that wants another number format passes the cell already formatted.
+    The header is the record's field names in order, and an empty list gets
+    the header alone.
     """
-    keys = list(columns)
-    for i, rec in enumerate(records):
-        if list(rec.keys()) != keys:
-            raise ConfigError(f"records[{i}] keys differ from the columns {keys}")
+    names = [f.name for f in dataclasses.fields(record)]
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(keys)
-    writer.writerows([_cell(rec[key]) for key in keys] for rec in records)
+    writer.writerow(names)
+    writer.writerows([_cell(getattr(rec, name)) for name in names] for rec in records)
     atomic_write(path, buf.getvalue().encode())
 
 
-def parse_results(path) -> list[dict]:
-    """Inverse of emit_results (best-effort cell typing)."""
-    text = Path(path).read_text()
-    rows = [row for row in csv.reader(text.splitlines()) if row]
-    if not rows:
-        return []
-    keys = rows[0]
-    return [{key: _parse_cell(cell) for key, cell in zip(keys, row)} for row in rows[1:]]
+def parse_results(path, record: type) -> list:
+    """Read a CSV that emit_results wrote for `record` back as its instances.
 
-
-def _parse_cell(cell: str):
-    if cell == "true":
-        return True
-    if cell == "false":
-        return False
-    try:
-        return int(cell)
-    except ValueError:
-        pass
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
+    The header must be the record's field names, and each cell converts by
+    its field's annotation: int, float or str. A row with the wrong number of
+    cells, or a cell that does not convert, is a ConfigError that names the
+    file, the line and the column.
+    """
+    names = [f.name for f in dataclasses.fields(record)]
+    types = typing.get_type_hints(record)
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != names:
+            raise ConfigError(f"{path}: line 1: header {header}, not the {record.__name__} fields {names}")
+        for row in reader:
+            where = f"{path}: line {reader.line_num}, column"
+            if len(row) != len(names):
+                column = names[len(row)] if len(row) < len(names) else len(names) + 1
+                raise ConfigError(f"{where} {column}: {len(row)} cells, the header has {len(names)}")
+            cells = []
+            for name, cell in zip(names, row):
+                try:
+                    cells.append(types[name](cell))
+                except ValueError:
+                    raise ConfigError(
+                        f"{where} {name}: expected {types[name].__name__}, got {cell!r}"
+                    ) from None
+            records.append(record(*cells))
+    return records

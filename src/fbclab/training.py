@@ -10,7 +10,7 @@ conventional way these codecs are trained).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -23,8 +23,6 @@ from .errors import NumericalFailure
 from .keys import bounded, check_bounds
 from .layers import Module
 from .results import emit_results
-
-HISTORY_CSV_HEADER = ["step", "loss", "alpha", "mean_snr_db"]
 
 
 @dataclass
@@ -178,8 +176,9 @@ def train(
     return history
 
 
+# A function of its own, so the benchmark's tracer can count history.csv bytes by its name.
 def write_history_csv(history: list[HistoryRow], path) -> None:
-    emit_results([asdict(row) for row in history], path, HISTORY_CSV_HEADER)
+    emit_results(history, path, HistoryRow)
 
 
 def neural_trial_fn(

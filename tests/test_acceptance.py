@@ -63,8 +63,8 @@ def test_criterion_01_latency_closed_forms():
 
 
 def test_criterion_02_delta_prime_and_sweeps(tmp_path):
-    from fbclab.pipeline import sweep_to_csv
-    from fbclab.results import parse_results
+    from fbclab.pipeline import SweepRow
+    from fbclab.results import emit_results, parse_results
 
     checks = [async_delta_prime(P_REF) == 3]
     for d in range(1, 31):
@@ -76,16 +76,16 @@ def test_criterion_02_delta_prime_and_sweeps(tmp_path):
     checks.append(abs(red - 46.1) <= 0.5)
 
     # shapes are asserted from the emitted CSVs, not the in-memory rows
-    sweep_to_csv(latency_sweep(range(1, 31), [4], 9), tmp_path / "fwd.csv")
-    sweep_to_csv(latency_sweep([10], range(0, 16), 9), tmp_path / "fb.csv")
-    fwd = [r for r in parse_results(tmp_path / "fwd.csv") if r["mode"] == "async"]
-    dpr = [r["delta_prime_ms"] for r in fwd]
-    tot = [r["total_ms"] for r in fwd]
+    emit_results(latency_sweep(range(1, 31), [4], 9), tmp_path / "fwd.csv", SweepRow)
+    emit_results(latency_sweep([10], range(0, 16), 9), tmp_path / "fb.csv", SweepRow)
+    fwd = [r for r in parse_results(tmp_path / "fwd.csv", SweepRow) if r.mode == "async"]
+    dpr = [r.delta_prime_ms for r in fwd]
+    tot = [r.total_ms for r in fwd]
     checks.append(all(b >= a for a, b in zip(dpr, dpr[1:])))
     checks.append(all(b >= a for a, b in zip(tot, tot[1:])))
-    fb = [r for r in parse_results(tmp_path / "fb.csv") if r["mode"] == "async"]
-    fb_dpr = [r["delta_prime_ms"] for r in fb]
-    fb_tot = [r["total_ms"] for r in fb]
+    fb = [r for r in parse_results(tmp_path / "fb.csv", SweepRow) if r.mode == "async"]
+    fb_dpr = [r.delta_prime_ms for r in fb]
+    fb_tot = [r.total_ms for r in fb]
     checks.append(all(b <= a for a, b in zip(fb_dpr, fb_dpr[1:])) and fb_dpr[-1] == 1)
     checks.append(all(b >= a for a, b in zip(fb_tot, fb_tot[1:])))
 

@@ -5,16 +5,17 @@ import pytest
 
 from fbclab.analysis import (
     FPGA_FAMILIES,
+    FpgaRow,
     FpgaSpec,
     coverage_report,
     density_ratio,
     distance_ratio,
     fpga_encode_latency,
     fpga_report,
-    fpga_report_csv,
     sensitivity_from_per_curve,
 )
 from fbclab.errors import ConfigError, InputDomainError, RangeError
+from fbclab.results import emit_results
 
 
 def test_distance_ratio_values():
@@ -99,9 +100,9 @@ def test_fpga_throughput_and_latency():
 
 def test_fpga_report_csv(tmp_path):
     rows = fpga_report(444_000)
-    assert [r["family"] for r in rows] == ["Spartan-7", "Artix-7", "Kintex-7", "Virtex-7"]
+    assert [r.family for r in rows] == ["Spartan-7", "Artix-7", "Kintex-7", "Virtex-7"]
     path = tmp_path / "fpga.csv"
-    fpga_report_csv(rows, path)
+    emit_results(rows, path, FpgaRow)
     lines = path.read_text().splitlines()
     assert lines[0] == "family,dsp_gmacs,peak_gflops,latency_us"
     assert len(lines) == 5

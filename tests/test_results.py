@@ -1,42 +1,35 @@
-"""Result files: every writer is atomic, gets the open() mode, and keeps its bytes."""
+"""Result files: every writer is atomic, gets the open() mode, and keeps its bytes;
+every CSV format reads back typed."""
 
 import ast
 import hashlib
 import os
+import re
 import stat
+import typing
 from pathlib import Path
 
 import pytest
 
 from fbclab.afc import AfcConfig, AfcModel, save_checkpoint
-from fbclab.analysis import FPGA_CSV_HEADER, fpga_report, fpga_report_csv
+from fbclab.analysis import FpgaRow
+from fbclab.errors import ConfigError
 from fbclab.experiments import SCHEMAS, ExperimentConfig, run_experiment
-from fbclab.per import PER_CSV_HEADER, PerPoint, read_per_csv, write_per_csv
-from fbclab.pipeline import (
-    SWEEP_CSV_HEADER,
-    TIMELINE_CSV_HEADER,
-    Timeline,
-    TimingParams,
-    latency_sweep,
-    simulate_timeline,
-    sweep_to_csv,
-    timeline_to_csv,
-)
-from fbclab.results import emit_results, write_json
-from fbclab.training import HISTORY_CSV_HEADER, HistoryRow, write_history_csv
+from fbclab.per import PerPoint, read_per_csv, write_per_csv
+from fbclab.pipeline import SweepRow, TimelineEvent, TimingParams, latency_sweep, simulate_timeline
+from fbclab.results import emit_results, parse_results, write_json
+from fbclab.training import HistoryRow, write_history_csv
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fbclab"
+README = SRC.parent.parent / "README.md"
 
 WRITERS = {
     "write_json": lambda path: write_json(path, {"a": 1.5}),
-    "emit_results": lambda path: emit_results([{"a": 1, "b": "x"}], path, ["a", "b"]),
+    "emit_results": lambda path: emit_results(
+        simulate_timeline(TimingParams(10.0, 4.0, 3), "async").events, path, TimelineEvent
+    ),
     "write_per_csv": lambda path: write_per_csv([PerPoint(0.0, 0.5, 0.25, 0.75, 10, 5)], path),
     "write_history_csv": lambda path: write_history_csv([HistoryRow(0, 0.7, 1.0, 8.0)], path),
-    "timeline_to_csv": lambda path: timeline_to_csv(
-        simulate_timeline(TimingParams(10.0, 4.0, 3), "async"), path
-    ),
-    "sweep_to_csv": lambda path: sweep_to_csv(latency_sweep([2.0], [1.0], 3), path),
-    "fpga_report_csv": lambda path: fpga_report_csv(fpga_report(1e6), path),
     "save_checkpoint": lambda path: save_checkpoint(AfcModel(AfcConfig.tiny(), seed=0), path),
 }
 
@@ -56,20 +49,52 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(writer, tmp_path, monkey
     assert list(tmp_path.glob(f".{target.name}.*")) == []
 
 
-def test_empty_results_keep_their_header(tmp_path):
-    cases = [
-        (lambda path: write_per_csv([], path), PER_CSV_HEADER),
-        (lambda path: write_history_csv([], path), HISTORY_CSV_HEADER),
-        (lambda path: timeline_to_csv(Timeline([], 0.0, "async", []), path), TIMELINE_CSV_HEADER),
-        (lambda path: sweep_to_csv([], path), SWEEP_CSV_HEADER),
-        (lambda path: fpga_report_csv([], path), FPGA_CSV_HEADER),
-    ]
-    for i, (write, header) in enumerate(cases):
-        path = tmp_path / f"{i}.csv"
-        write(path)
-        assert path.read_bytes() == (",".join(header) + "\r\n").encode(), header
-    assert read_per_csv(tmp_path / "0.csv") == []
-    assert list(fpga_report(1e6)[0]) == FPGA_CSV_HEADER
+# Each CSV format: its record class, its header as the README's "File
+# formats" states it, and sample records. Whole numbers in float columns
+# (snr_db 0, the sweep's integer grid) must read back as floats.
+FORMATS = [
+    pytest.param(PerPoint, "snr_db,per,ci_low,ci_high,trials,errors",
+                 [PerPoint(0, 0.5, 0.25, 0.75, 10, 5), PerPoint(2.5, 0.0, 0.0, 0.0, 400, 0)],
+                 id="PerPoint"),
+    pytest.param(HistoryRow, "step,loss,alpha,mean_snr_db",
+                 [HistoryRow(0, 0.693147181, 1.0, 8), HistoryRow(1, 0.5, 0.5, -1.25)],
+                 id="HistoryRow"),
+    pytest.param(SweepRow, "delta_ms,delta_tilde_ms,mode,delta_prime_ms,total_ms",
+                 latency_sweep([10], [4], 9), id="SweepRow"),
+    pytest.param(TimelineEvent, "round,kind,time_ms",
+                 simulate_timeline(TimingParams(10.0, 4.0, 3), "async").events, id="TimelineEvent"),
+    pytest.param(FpgaRow, "family,dsp_gmacs,peak_gflops,latency_us",
+                 [FpgaRow("Spartan-7", 176, 352, 2.5)], id="FpgaRow"),
+]
+
+
+@pytest.mark.parametrize("record, header, records", FORMATS)
+def test_record_csv_format(record, header, records, tmp_path):
+    formats = README.read_text().split("\n## File formats\n")[1].split("\n## ")[0]
+    assert f"`{header}`" in formats and f"`{record.__name__}`" in formats
+    path = tmp_path / "result.csv"
+    emit_results([], path, record)
+    assert path.read_bytes() == (header + "\r\n").encode()
+    assert parse_results(path, record) == []
+    emit_results(records, path, record)
+    back = parse_results(path, record)
+    assert back == records
+    types = typing.get_type_hints(record)
+    assert all({name: type(getattr(r, name)) for name in types} == types for r in back)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("snr_db,per,ci_low,ci_high,trials,errors\r\n0,0.5,0.25\r\n", "line 2, column ci_high:"),
+    ("snr_db,per,ci_low,ci_high,trials,errors\r\n0,0.5,0.25,0.75,10,5,7\r\n", "line 2, column 7:"),
+    ("snr_db,per,ci_low,ci_high,trials,errors\r\n0,0.5,0.25,0.75,10,5\r\n0,0.5,0.25,0.75,10,x\r\n",
+     "line 3, column errors: expected int, got 'x'"),
+    ("step,loss,alpha,mean_snr_db\r\n", "line 1: header"),
+], ids=["short-row", "long-row", "errors-not-int", "other-header"])
+def test_malformed_csv_names_file_line_and_column(text, where, tmp_path):
+    path = tmp_path / "per.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: {where}")):
+        read_per_csv(path)
 
 
 def test_result_files_get_the_mode_open_gives(tmp_path):
@@ -230,7 +255,6 @@ def _unreferenced(defining: dict[str, ast.AST], readers: list[ast.AST], listed=(
 TEST_REFERENCES = {
     "effective_snr_db": "criterion 09 measures the Chase-combining gain with it",
     "mixture_cdf": "criterion 08's Kolmogorov-Smirnov reference for the curriculum draws",
-    "parse_results": "the reader of the format emit_results writes",
     "sensitivity_from_per_curve": "the first link of the coverage chain that reads PER curves",
 }
 

@@ -16,7 +16,6 @@ from fbclab.training import (
     CurriculumConfig,
     ExponentialDecay,
     GaussianAnchor,
-    HISTORY_CSV_HEADER,
     LinearDecay,
     TrainConfig,
     mixture_cdf,
@@ -200,9 +199,7 @@ def test_history_csv_format(tmp_path):
     hist = train(model, CurriculumConfig(total_steps=5), TrainConfig(steps=5, batch_size=4, seed=6))
     path = tmp_path / "history.csv"
     write_history_csv(hist, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(HISTORY_CSV_HEADER)
-    assert len(lines) == 6
+    assert len(path.read_text().splitlines()) == 6
 
 
 def test_untrained_per_is_near_random_guessing():
