@@ -371,20 +371,17 @@ def block_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     return ad.cross_entropy(logits, targets)
 
 
-def forward_backward(
+def session_loss(
     model: AfcModel,
     bits: np.ndarray,
     snr_db_rounds,
     rng: np.random.Generator,
     noiseless_uplink: bool = False,
     feedback_snr_db: float | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """One training step's forward and backward pass.
-
-    Returns the scalar loss and a name -> gradient map covering every
-    trainable weight. Raises NumericalFailure on a non-finite loss.
-    """
-    model.zero_grad()
+) -> Tensor:
+    """The scalar loss of one batched session: session_graph, then
+    block_cross_entropy against the block targets. Raises NumericalFailure
+    on a non-finite loss."""
     logits = session_graph(
         model,
         bits,
@@ -393,16 +390,11 @@ def forward_backward(
         noiseless_uplink=noiseless_uplink,
         feedback_snr_db=feedback_snr_db,
     )
-    targets = bits_to_block_targets(bits, model.config)
-    loss = block_cross_entropy(logits, targets)
+    loss = block_cross_entropy(logits, bits_to_block_targets(bits, model.config))
     value = loss.item()
     if not np.isfinite(value):
         raise NumericalFailure(f"session loss is non-finite ({value})")
-    loss.backward()
-    grads = {}
-    for name, p in model.parameters():
-        grads[name] = np.zeros_like(p.data) if p.grad is None else p.grad
-    return value, grads
+    return loss
 
 
 # -- complexity accounting -----------------------------------------------------

@@ -64,6 +64,9 @@ from .training import (
 )
 
 OUTPUT_DIR_ENV = "FBCLAB_OUT"
+# A [start, stop, step] grid holds at most this many points: else a mistyped
+# step asks for millions of runs, or for more floats than memory holds.
+MAX_GRID_POINTS = 10_000
 
 
 def _chosen(key: str, *choices: str):
@@ -79,8 +82,8 @@ _MEAN_REVERTING, _PIECEWISE = (_chosen("kind", "mean-reverting"),), (_chosen("ki
 # The default anchors, whose fields the anchor keys set.
 _ORIG, _TARG = CurriculumConfig().p_orig, CurriculumConfig().p_targ
 
-# The keys of an `uplink_trace`: its kind's fields, the grid point setting
-# `mean_db`. A trace without `start_db` starts at the mean; null is no setting.
+# The keys of an `uplink_trace`: its kind's fields; the grid point sets `mean_db`
+# or offsets `points`. No `start_db` (null is no setting) starts at the mean.
 TRACE_KEYS = {
     "kind": ParamSpec(
         "string", "mean-reverting", "mean-reverting | piecewise", choices=("mean-reverting", "piecewise")
@@ -91,7 +94,7 @@ TRACE_KEYS = {
         MeanRevertingTrace, "start_db", "first read (default: the mean)",
         default=OPTIONAL, read_if=_MEAN_REVERTING,
     ),
-    "points": ParamSpec("list", [], "[time_ms, snr_db] pairs, times increasing", read_if=_PIECEWISE),
+    "points": ParamSpec("list", [], "[time_ms, offset_db] pairs, times increasing", read_if=_PIECEWISE),
 }
 
 COVERAGE_ENTRY_KEYS = {
@@ -175,7 +178,7 @@ SCHEMAS: dict[str, dict[str, ParamSpec]] = {
             "dict",
             None,
             "uplink read at the round times, 1 ms apart: {kind: mean-reverting, reversion_rate,"
-            " volatility, start_db} (mean: the grid point) or {kind: piecewise, points}",
+            " volatility, start_db} (mean: the grid point) or {kind: piecewise, points} (offsets from it)",
             read_if=_NEURAL,
             keys=TRACE_KEYS,
         ),
@@ -237,8 +240,8 @@ def require_seed(config: ExperimentConfig) -> int:
 def expand_grid(spec, name: str, minimum: float | None = None) -> list[float]:
     """A 3-element [start, stop, step] is an inclusive range; else a list.
 
-    Every entry must be a finite number, and every value of the grid at
-    least `minimum` when one is given.
+    Every entry must be a finite number, a range is counted before it is
+    built, and every value is at least `minimum` when one is given.
     """
     if not isinstance(spec, list) or not spec:
         raise ConfigError(f"params.{name}: expected a non-empty list")
@@ -249,10 +252,14 @@ def expand_grid(spec, name: str, minimum: float | None = None) -> list[float]:
         start, stop, step = values
         if step <= 0:
             raise ConfigError(f"params.{name}: step must be > 0")
-        n = int(np.floor((stop - start) / step + 1e-9)) + 1
-        if n < 1:
+        count = np.floor((stop - start) / step + 1e-9) + 1  # inf when the span or ratio overflows
+        if count < 1:
             raise ConfigError(f"params.{name}: empty range")
-        values = [start + i * step for i in range(n)]
+        if count > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"params.{name}: {count:.0f} points, more than the {MAX_GRID_POINTS} a grid may hold"
+            )
+        values = [start + i * step for i in range(int(count))]
     if minimum is not None and min(values) < minimum:
         raise ConfigError(f"params.{name}: every value must be >= {minimum}, got {min(values)}")
     return values
@@ -375,8 +382,9 @@ def _run_gradcheck(p: dict, seed, out: Path) -> list[str]:
 
 def _uplink_trace(trace: dict | None):
     """The checked `uplink_trace` parameter as a map from grid SNR to trace
-    kind, or None. A piecewise trace's points must be finite [time_ms, snr_db]
-    pairs that PiecewiseTrace accepts, or a ConfigError names them.
+    kind, or None. The grid SNR is a mean-reverting trace's mean and is added
+    to a piecewise trace's points: finite [time_ms, offset_db] pairs that
+    PiecewiseTrace accepts, or a ConfigError names them.
     """
     if trace is None:
         return None
@@ -385,9 +393,9 @@ def _uplink_trace(trace: dict | None):
         return lambda mean_db: dataclasses.replace(at_zero, mean_db=mean_db)
     points = trace.get("points", [])
     if not all(isinstance(pt, list) and len(pt) == 2 and all(map(finite_number, pt)) for pt in points):
-        raise ConfigError("params.uplink_trace.points: expected a list of finite [time_ms, snr_db] pairs")
-    piecewise = reported("params.uplink_trace", PiecewiseTrace, points)
-    return lambda mean_db: piecewise
+        raise ConfigError("params.uplink_trace.points: expected a list of finite [time_ms, offset_db] pairs")
+    offsets = reported("params.uplink_trace", PiecewiseTrace, points).points
+    return lambda mean_db: PiecewiseTrace([[t, mean_db + v] for t, v in offsets])
 
 
 def _run_per_sweep(p: dict, seed: int, out: Path) -> list[str]:

@@ -2,16 +2,20 @@
 
 Each check perturbs every trainable weight of one layer (or of the whole
 codec) by +-h, recomputes a scalar probe loss, and compares the central
-difference against the backpropagated gradient. Relative error is
-|g - fd| / max(1, |g|, |fd|), so tiny gradients are compared absolutely.
+difference against the gradient that one backward pass leaves on the
+weights. The finite differences evaluate the loss forward-only, recording
+no tape. Relative error is |g - fd| / max(1, |g|, |fd|), so tiny gradients
+are compared absolutely.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from .afc import AfcConfig, AfcModel, forward_backward
-from .autodiff import Tensor
+from .afc import AfcConfig, AfcModel, session_loss
+from .autodiff import Tensor, no_grad
 from .layers import (
     FeedForward,
     LayerNorm,
@@ -26,37 +30,27 @@ DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
 
 
-def _probe_loss(module: Module, x_data: np.ndarray, probe: np.ndarray) -> float:
-    out = module(Tensor(x_data))
-    return (out * Tensor(probe)).sum().item()
-
-
-def _worst_fd_error(params, grads: dict[str, np.ndarray], loss, h: float) -> float:
-    """Max relative error of grads against central differences of loss()."""
+def _worst_fd_error(module: Module, loss: Callable[[], Tensor], h: float) -> float:
+    """Max relative error of the gradients one backward of loss() leaves on
+    module's parameters (zeros where it leaves none) against central
+    differences of loss(), each evaluated forward-only."""
+    loss().backward()
     worst = 0.0
-    for name, p in params:
-        flat = p.data.ravel()
-        gflat = grads[name].ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss()
-            flat[i] = orig - h
-            down = loss()
-            flat[i] = orig
-            fd = (up - down) / (2.0 * h)
-            err = abs(gflat[i] - fd) / max(1.0, abs(gflat[i]), abs(fd))
-            worst = max(worst, err)
+    with no_grad():
+        for _, p in module.parameters():
+            flat = p.data.ravel()
+            gflat = np.zeros(flat.size) if p.grad is None else p.grad.ravel()
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                up = loss().item()
+                flat[i] = orig - h
+                down = loss().item()
+                flat[i] = orig
+                fd = (up - down) / (2.0 * h)
+                err = abs(gflat[i] - fd) / max(1.0, abs(gflat[i]), abs(fd))
+                worst = max(worst, err)
     return worst
-
-
-def _max_rel_error(module: Module, x_data: np.ndarray, probe: np.ndarray, h: float) -> float:
-    module.zero_grad()
-    out = module(Tensor(x_data))
-    (out * Tensor(probe)).sum().backward()
-    params = list(module.parameters())
-    grads = {name: np.zeros_like(p.data) if p.grad is None else p.grad for name, p in params}
-    return _worst_fd_error(params, grads, lambda: _probe_loss(module, x_data, probe), h)
 
 
 # The end-to-end check's codec: every module and the sparse window, small
@@ -74,13 +68,10 @@ def check_session_loss(config: AfcConfig, seed: int, h: float) -> float:
     snrs = rng.uniform(-1.0, 5.0, config.rounds)
     noise_seed = seed + 2
 
-    def loss_and_grads():
-        return forward_backward(
-            model, bits, snrs, np.random.default_rng(noise_seed), feedback_snr_db=8.0
-        )
+    def loss():
+        return session_loss(model, bits, snrs, np.random.default_rng(noise_seed), feedback_snr_db=8.0)
 
-    _, grads = loss_and_grads()
-    return _worst_fd_error(model.parameters(), grads, lambda: loss_and_grads()[0], h)
+    return _worst_fd_error(model, loss, h)
 
 
 def run_gradient_checks(
@@ -109,7 +100,7 @@ def run_gradient_checks(
     for name, (module, in_shape, out_shape) in cases.items():
         x = rng.standard_normal(in_shape)
         probe = rng.standard_normal(out_shape)
-        results[name] = _max_rel_error(module, x, probe, h)
+        results[name] = _worst_fd_error(module, lambda: (module(Tensor(x)) * Tensor(probe)).sum(), h)
 
     results["session_loss"] = check_session_loss(_SESSION_CHECK_CONFIG, seed, h)
     if custom is not None:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import autodiff as ad
-from .afc import AfcModel, forward_backward, logits_to_bits, session_graph
+from .afc import AfcModel, logits_to_bits, session_graph, session_loss
 from .channel import TraceKind, sample_traces
 from .errors import NumericalFailure
 from .keys import bounded, check_bounds
@@ -107,24 +107,26 @@ class TrainConfig:
 
 class Adam:
     """Adaptive-moment gradient descent with bias correction, at the moment
-    decays and epsilon of Kingma and Ba (2015)."""
+    decays and epsilon of Kingma and Ba (2015). A step reads the gradient
+    that backward left on each parameter, zeros where it left none."""
 
     b1, b2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, model: Module, config: TrainConfig):
         self.lr = config.learning_rate
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in model.parameters()}
-        self.v = {name: np.zeros_like(p.data) for name, p in model.parameters()}
+        self.params = [p for _, p in model.parameters()]
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, model: Module, grads: dict[str, np.ndarray]):
+    def step(self):
         self.t += 1
-        for name, p in model.parameters():
-            g = grads[name]
-            self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-            self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            m_hat = self.m[name] / (1 - self.b1**self.t)
-            v_hat = self.v[name] / (1 - self.b2**self.t)
+        for i, p in enumerate(self.params):
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
+            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
+            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g * g
+            m_hat = self.m[i] / (1 - self.b1**self.t)
+            v_hat = self.v[i] / (1 - self.b2**self.t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
@@ -159,7 +161,7 @@ def train(
             alpha = curriculum.alpha(k)
         bits = rng.integers(0, 2, (config.batch_size, model.config.k))
         try:
-            loss, grads = forward_backward(
+            loss = session_loss(
                 model,
                 bits,
                 np.full(model.config.rounds, snr),
@@ -171,8 +173,11 @@ def train(
             failure = NumericalFailure(f"training aborted at step {k}: {exc}")
             failure.step, failure.history = k, history
             raise failure from exc
-        optimizer.step(model, grads)
-        history.append(HistoryRow(k, loss, alpha, snr))
+        model.zero_grad()
+        loss.backward()
+        optimizer.step()
+        history.append(HistoryRow(k, loss.item(), alpha, snr))
+        del loss  # else the step's graph lives on through the next forward
     return history
 
 

@@ -10,6 +10,9 @@ at delta = 1, where the min-forward floor charges a slot the serial schedule
 never pays.
 """
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -231,18 +234,28 @@ TRAIN_STEPS = 2500
 EVAL_GRID = [0.0, 2.0, 4.0, 6.0, 8.0]
 
 
+def _trained(curriculum, config):
+    """A MID_CFG codec from seed 7, trained: module-level, so a spawned worker can run it."""
+    model = AfcModel(MID_CFG, seed=7)
+    train(model, curriculum, config)
+    return model
+
+
 @pytest.fixture(scope="module")
 def trained_models():
     curriculum = CurriculumConfig(
         GaussianAnchor(8.0, 1.0), GaussianAnchor(0.0, 1.0), LinearDecay(),
         sigma_p=1.0, total_steps=TRAIN_STEPS,
     )
-    cur_model = AfcModel(MID_CFG, seed=7)
-    train(cur_model, curriculum, TrainConfig(steps=TRAIN_STEPS, batch_size=64, seed=7))
-    fix_model = AfcModel(MID_CFG, seed=7)
-    train(fix_model, CurriculumConfig(), TrainConfig(
-        steps=TRAIN_STEPS, batch_size=64, seed=7, fixed_snr_db=0.0))
-    return cur_model, fix_model
+    curricula = (curriculum, CurriculumConfig())
+    configs = (
+        TrainConfig(steps=TRAIN_STEPS, batch_size=64, seed=7),
+        TrainConfig(steps=TRAIN_STEPS, batch_size=64, seed=7, fixed_snr_db=0.0),
+    )
+    # The two trainings run side by side, in spawned processes: a process
+    # forked while its OpenBLAS threads run can hang.
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return tuple(pool.map(_trained, curricula, configs))
 
 
 def test_criterion_10_training_robustness(trained_models):

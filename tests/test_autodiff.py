@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from fbclab import autodiff as ad
-from fbclab.afc import AfcConfig, AfcModel, bits_to_block_targets, block_cross_entropy, session_graph
+from fbclab.afc import (
+    AfcConfig,
+    AfcModel,
+    bits_to_block_targets,
+    block_cross_entropy,
+    session_graph,
+    session_loss,
+)
 from fbclab.autodiff import Tensor
 from fbclab.layers import Linear, SelfAttention, TransformerLayer
 
@@ -332,13 +339,12 @@ def test_linear_records_one_node():
         assert layer(x)._node is None
 
 
-def _tiny_session_loss(model, seed):
-    cfg = model.config
+def _tiny_batch(model, seed):
+    """session_loss arguments: four sessions at per-session SNRs, with noisy feedback."""
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, (4, cfg.k))
-    snrs = rng.uniform(-1.0, 5.0, (4, cfg.rounds))
-    logits = session_graph(model, bits, snrs, rng, feedback_snr_db=20.0)
-    return block_cross_entropy(logits, bits_to_block_targets(bits, cfg))
+    bits = rng.integers(0, 2, (4, model.config.k))
+    snrs = rng.uniform(-1.0, 5.0, (4, model.config.rounds))
+    return dict(model=model, bits=bits, snr_db_rounds=snrs, rng=rng, feedback_snr_db=20.0)
 
 
 def _wrap_rebuilding_ops(monkeypatch, seen):
@@ -376,7 +382,7 @@ def test_tape_keeps_only_what_backward_reads(monkeypatch):
             rebuilt.append((kind, weakref.ref(_buffer(out.data))))
 
     _wrap_rebuilding_ops(monkeypatch, record)
-    loss = _tiny_session_loss(model, seed=22)
+    loss = session_loss(**_tiny_batch(model, seed=22))
     # Embedding outputs and residual sums enter a LayerNorm and a residual
     # add, neither of which saves them: gone once the forward returns.
     assert layer_norm_inputs and all(ref() is None for ref in layer_norm_inputs)
@@ -405,7 +411,7 @@ def test_linear_outputs_of_rebuilt_inputs_are_not_kept(monkeypatch):
             outputs[id(args[1]) in heads].append(weakref.ref(out.data))
 
     _wrap_rebuilding_ops(monkeypatch, record)
-    loss = _tiny_session_loss(model, seed=31)
+    loss = session_loss(**_tiny_batch(model, seed=31))
     # q, k, v, the feed-forward up- and down-projections, the attention
     # output projections, the decoder head and the SNR MLP's second layer:
     # rebuilt when backward needs them, gone once the forward returns.
@@ -433,7 +439,7 @@ def test_rebuilds_repeat_the_forward_bit_for_bit(monkeypatch):
         registered.append((kind, expected, out._rebuild is not None))
 
     _wrap_rebuilding_ops(monkeypatch, check)
-    _tiny_session_loss(model, seed=29)
+    session_loss(**_tiny_batch(model, seed=29))
     # Every LayerNorm, GELU and batched product registers one, and so does a
     # Linear whose input has one; the product with its 2-D weight does not.
     assert {kind for kind, _, _ in registered} == {"layer_norm", "gelu", "matmul", "linear"}
@@ -441,7 +447,7 @@ def test_rebuilds_repeat_the_forward_bit_for_bit(monkeypatch):
     assert {expected for kind, expected, _ in registered if kind == "linear"} == {True, False}
     registered.clear()
     with ad.no_grad():
-        _tiny_session_loss(model, seed=29)
+        session_loss(**_tiny_batch(model, seed=29))
     assert registered and not any(has for _, _, has in registered)
 
 
@@ -458,7 +464,7 @@ def test_concat_outputs_are_not_kept(monkeypatch):
         return out
 
     monkeypatch.setattr(ad, "concat", recorded)
-    loss = _tiny_session_loss(AfcModel(AfcConfig.tiny(), seed=34), seed=35)
+    loss = session_loss(**_tiny_batch(AfcModel(AfcConfig.tiny(), seed=34), seed=35))
     assert outputs and all(ref() is None for _, ref in outputs)
     assert all(rebuilt for rebuilt, _ in outputs)
     assert np.isfinite(loss.item())
@@ -481,7 +487,7 @@ def test_each_rebuild_runs_at_most_once_per_backward(monkeypatch):
         set_rebuild(t, compute_counted)
 
     monkeypatch.setattr(ad, "_set_rebuild", counted)
-    loss = _tiny_session_loss(AfcModel(AfcConfig.tiny(), seed=32), seed=33)
+    loss = session_loss(**_tiny_batch(AfcModel(AfcConfig.tiny(), seed=32), seed=33))
     assert runs and not any(runs)
     loss.backward()
     assert max(runs) == 1
@@ -493,7 +499,7 @@ def test_dropped_model_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         model = AfcModel(AfcConfig.tiny(), seed=25)
-        _tiny_session_loss(model, seed=26).backward()
+        session_loss(**_tiny_batch(model, seed=26)).backward()
         weights = [weakref.ref(p.data) for _, p in model.parameters()]
         grads = [weakref.ref(p.grad) for _, p in model.parameters()]
         del model
@@ -531,7 +537,7 @@ def test_default_full_forward_tape_bytes():
 
 def test_backward_twice_gives_identical_gradients():
     model = AfcModel(AfcConfig.tiny(), seed=23)
-    loss = _tiny_session_loss(model, seed=24)
+    loss = session_loss(**_tiny_batch(model, seed=24))
     loss.backward()
     first = {name: p.grad for name, p in model.parameters()}
     model.zero_grad()

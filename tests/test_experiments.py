@@ -18,6 +18,7 @@ from fbclab.afc import AfcConfig, AfcModel, save_checkpoint
 from fbclab.cli import main
 from fbclab.errors import ConfigError
 from fbclab.experiments import (
+    MAX_GRID_POINTS,
     SCHEMAS,
     ExperimentConfig,
     config_hash,
@@ -350,6 +351,7 @@ def test_expand_grid():
     assert expand_grid([0.0, 10.0, 2.0], "g") == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
     assert expand_grid([1.5, 2.5], "g") == [1.5, 2.5]
     assert expand_grid([3.0, 3.0, 1.0], "g") == [3.0]
+    assert len(expand_grid([0, MAX_GRID_POINTS - 1, 1], "g")) == MAX_GRID_POINTS
     with pytest.raises(ConfigError):
         expand_grid([], "g")
 
@@ -372,6 +374,24 @@ def test_cli_nonfinite_snr_grid_exits_two(grid, tmp_path, capsys):
     assert code == 2
     assert "params.snr_grid" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "grid, count",
+    [([0, 1, 1e-5], "100001"), ([0, 1, 1e-12], "1000000000001"), ([0, 1, 1e-320], "inf"),
+     ([-1e308, 1e308, 1], "inf")],
+)
+def test_range_grid_is_counted_before_it_is_built(grid, count):
+    message = rf"^params\.g: {count} points, more than the 10000 a grid may hold$"
+    with pytest.raises(ConfigError, match=message):
+        expand_grid(grid, "g")
+
+
+def test_cli_oversized_grid_exits_two(tmp_path, capsys):
+    code = main(["latency-sweep", "--deltas", "[0, 1, 1e-320]", "--out", str(tmp_path / "cli")])
+    assert code == 2
+    assert "params.deltas: inf points" in capsys.readouterr().err
+    assert not (tmp_path / "cli").exists()
 
 
 # -- emit/parse -----------------------------------------------------------------
@@ -837,6 +857,21 @@ def test_empty_uplink_trace_is_the_default_trace(tmp_path):
     empty = per_csv("empty", uplink_trace={})
     assert empty == per_csv("default", uplink_trace={"kind": "mean-reverting"})
     assert empty != per_csv("none")
+
+
+def test_piecewise_trace_points_are_offsets_from_the_grid_point(tmp_path):
+    model = AfcModel(AfcConfig.tiny(block_size=1, num_blocks=2), seed=8)
+    save_checkpoint(model, tmp_path / "m.ckpt")
+
+    def per_csv(name, **trace):
+        params = {"scheme": "neural", "checkpoint": str(tmp_path / "m.ckpt"),
+                  "snr_grid": [-10.0, 0.0, 30.0], "max_trials": 400, "target_errors": 401, **trace}
+        run_experiment(ExperimentConfig("per-sweep", params, 3, str(tmp_path / name)))
+        return (tmp_path / name / "per.csv").read_bytes()
+
+    # A trace that holds every grid point is the constant uplink.
+    constant = per_csv("constant", uplink_trace={"kind": "piecewise", "points": [[0.0, 0.0]]})
+    assert constant == per_csv("none")
 
 
 def test_every_schema_key_is_documented():

@@ -66,29 +66,6 @@ def test_async_requires_two_rounds():
         simulate_timeline(P_REF, "nope")
 
 
-def test_simulator_equals_closed_forms_exhaustively():
-    for delta in range(1, 31):
-        for dtilde in range(0, 16):
-            for rounds in range(2, 13):
-                p = TimingParams(delta, dtilde, rounds)
-                assert simulate_timeline(p, "sync").total_latency == sync_latency(p)
-                assert simulate_timeline(p, "async").total_latency == async_latency(p)
-
-
-def test_dominance_holds_for_delta_above_one():
-    # At delta = 1, the pipelined closed form exceeds lock-step by exactly
-    # min_forward: its floor charges a full slot the serial schedule never pays.
-    for delta in range(2, 31):
-        for dtilde in range(0, 16):
-            for rounds in range(2, 13):
-                p = TimingParams(delta, dtilde, rounds)
-                assert async_latency(p) <= sync_latency(p)
-    for dtilde in range(0, 16):
-        for rounds in range(2, 13):
-            p = TimingParams(1, dtilde, rounds)
-            assert async_latency(p) == sync_latency(p) + p.min_forward
-
-
 def test_monotonic_in_every_parameter():
     for fn in (sync_latency, async_latency):
         for delta in range(2, 30):
