@@ -457,7 +457,9 @@ def count_complexity(config: AfcConfig) -> dict:
 
 
 def save_checkpoint(model: AfcModel, path) -> None:
-    """Header, config echo and little-endian float64 weights, then the SHA-256 of all three."""
+    """Header, config echo and the weights as little-endian float64, then the
+    SHA-256 of all three. A float32 weight is stored exactly, so a codec's
+    checkpoint reloads to the same values and saves to the same bytes."""
     cfg_blob = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
     weights = [np.ascontiguousarray(p.data, dtype="<f8").tobytes() for _, p in model.parameters()]
     body = b"".join([_CKPT_MAGIC, struct.pack("<I", len(cfg_blob)), cfg_blob, *weights])
@@ -465,9 +467,10 @@ def save_checkpoint(model: AfcModel, path) -> None:
 
 
 def load_checkpoint(path) -> AfcModel:
-    """The codec a checkpoint holds, bit-exact, or a ConfigError. Checks the
-    magic, the digest (any cut, added or flipped byte), the config, then the
-    weight byte count the config implies."""
+    """The codec a checkpoint holds, in the codec's dtype, or a ConfigError.
+    Checks the magic, the digest (any cut, added or flipped byte), the
+    config, then the weight byte count the config implies. Weights saved
+    from the codec's dtype load bit-exact."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -499,5 +502,5 @@ def load_checkpoint(path) -> AfcModel:
         raise ConfigError(f"checkpoint holds {held} weight bytes, its config needs {needed}")
     flat = np.frombuffer(body, "<f8", offset=offset)
     for _, p in model.parameters():
-        p.data, flat = flat[:p.size].reshape(p.shape).copy(), flat[p.size:]
+        p.data, flat = flat[:p.size].reshape(p.shape).astype(p.data.dtype), flat[p.size:]
     return model

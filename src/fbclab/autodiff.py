@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A Tensor wraps a float64 ndarray plus, when a gradient flows through it, a
-tape node. The operations are the ones the codec, its loss and its training
-use, and no more:
+A Tensor wraps an ndarray of its thread's precision plus, when a gradient
+flows through it, a tape node. The operations are the ones the codec, its
+loss and its training use, and no more:
 - `+`, `*` and `/` with broadcasting (`add` and `mul` also write in place),
   and batched matmul `@`;
 - `reshape` and `swap_last_axes`;
@@ -12,6 +12,13 @@ use, and no more:
   its weight) and `cross_entropy`.
 `backward()` starts from a scalar. Gradients are exact; every primitive's
 backward rule is covered by a finite-difference test.
+
+Precision: float32, the codec's numeric type, in every thread. `float64()`
+switches the thread that enters it to double precision, which finite
+differences need. An op's own small buffers (the ones vectors of its BLAS
+reductions, the zeros a gathered weight's gradient is scattered into) take
+its operand's dtype, and its scalar constants are Python floats, so no op
+promotes a float32 operand to float64.
 
 A node holds only what backward reads: its parent nodes with one backward
 rule each (a leaf, a parameter or a flagged input, has none) and the slot
@@ -89,6 +96,15 @@ class _GradMode(threading.local):
 _grad_mode = _GradMode()
 
 
+class _Precision(threading.local):
+    """The dtype of every new Tensor, held per thread; float32 in every new thread."""
+
+    dtype = np.dtype(np.float32)
+
+
+_precision = _Precision()
+
+
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (inference mode).
@@ -105,10 +121,26 @@ def no_grad():
         _grad_mode.enabled = prev
 
 
+@contextmanager
+def float64():
+    """Make Tensors in double precision inside the block.
+
+    Per thread, like `no_grad`. Arrays made before the block keep their
+    dtype: a model built outside it holds float32 weights, and its products
+    with float64 inputs are promoted to float64.
+    """
+    prev = _precision.dtype
+    _precision.dtype = np.dtype(np.float64)
+    try:
+        yield
+    finally:
+        _precision.dtype = prev
+
+
 def _sum_last(x: np.ndarray) -> np.ndarray:
     """Sum over the last axis, keeping it, as one BLAS matrix-vector product."""
     n = x.shape[-1]
-    return (x.reshape(-1, n) @ np.ones(n)).reshape(x.shape[:-1] + (1,))
+    return (x.reshape(-1, n) @ np.ones(n, x.dtype)).reshape(x.shape[:-1] + (1,))
 
 
 def _max_last(x: np.ndarray) -> np.ndarray:
@@ -128,7 +160,7 @@ def _max_last(x: np.ndarray) -> np.ndarray:
 
 def _sum_rows(x2: np.ndarray) -> np.ndarray:
     """Column sums of a 2-D array, as one BLAS vector-matrix product."""
-    return np.ones(x2.shape[0]) @ x2
+    return np.ones(x2.shape[0], x2.dtype) @ x2
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -164,7 +196,7 @@ class Tensor:
     __slots__ = ("data", "_node", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=_precision.dtype)
         self._node: _Node | None = _Node() if requires_grad else None
         # Recomputes data from arrays the tape keeps; set by `_make` only.
         self._rebuild = None
@@ -473,7 +505,7 @@ def gelu(t: Tensor) -> Tensor:
         d = -0.5 * x
         d *= x
         np.exp(d, out=d)
-        d /= np.sqrt(2.0 * np.pi)
+        d /= math.sqrt(2.0 * math.pi)  # a numpy float64 would compute in float64
         d *= x
         d += cdf
         d *= g
@@ -513,7 +545,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     shape = x.data.shape
     n = shape[-1]
     x2 = x.data.reshape(-1, n)
-    ones = np.ones(n)
+    ones = np.ones(n, x2.dtype)
     g_data, b_data = gamma.data, beta.data
     xhat = x2 - (x2 @ ones * (1.0 / n))[:, None]
     std = np.sqrt((xhat * xhat) @ ones * (1.0 / n) + eps)[:, None]
@@ -574,7 +606,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, rows=None) -> Tensor:
             gw = left().reshape(-1, n_in).T @ g.reshape(-1, g.shape[-1])
             if rows is None:
                 return gw
-            full = np.zeros(w_shape)
+            full = np.zeros(w_shape, gw.dtype)
             full[rows] = gw
             return full
 
@@ -616,7 +648,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     e = z - _max_last(z)
     picked = e[rows, idx]
     np.exp(e, out=e)
-    total = e @ np.ones(n)
+    total = e @ np.ones(n, e.dtype)
     picked -= np.log(total)
     scale = 1.0 / rows.size
 

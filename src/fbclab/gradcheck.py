@@ -5,7 +5,8 @@ codec) by +-h, recomputes a scalar probe loss, and compares the central
 difference against the gradient that one backward pass leaves on the
 weights. The finite differences evaluate the loss forward-only, recording
 no tape. Relative error is |g - fd| / max(1, |g|, |fd|), so tiny gradients
-are compared absolutely.
+are compared absolutely. The checks run in float64: a central difference at
+h = 1e-5 in float32 would be rounding noise.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .afc import AfcConfig, AfcModel, session_loss
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor, float64, no_grad
 from .layers import (
     FeedForward,
     LayerNorm,
@@ -80,31 +81,34 @@ def run_gradient_checks(
     tol: float = DEFAULT_TOL,
     custom: AfcConfig | None = None,
 ) -> dict:
-    """Check every layer type plus the end-to-end session loss.
+    """Check every layer type plus the end-to-end session loss, in float64.
 
     A `custom` codec config adds a second session check,
     `session_loss_custom`. Returns per-check max relative errors plus an
     overall pass flag.
     """
-    rng = np.random.default_rng(seed)
-    results: dict[str, float] = {}
+    with float64():
+        rng = np.random.default_rng(seed)
+        results: dict[str, float] = {}
 
-    cases = {
-        "linear": (Linear(5, 4, rng), (3, 5), (3, 4)),
-        "layer_norm": (LayerNorm(6), (2, 4, 6), (2, 4, 6)),
-        "attention": (SelfAttention(4, rng), (2, 5, 4), (2, 5, 4)),
-        "feed_forward": (FeedForward(4, 7, rng), (2, 3, 4), (2, 3, 4)),
-        "snr_embedding": (SnrMlp(5, rng), (3, 1), (3, 5)),
-        "transformer_layer": (TransformerLayer(4, 6, rng), (2, 3, 4), (2, 3, 4)),
-    }
-    for name, (module, in_shape, out_shape) in cases.items():
-        x = rng.standard_normal(in_shape)
-        probe = rng.standard_normal(out_shape)
-        results[name] = _worst_fd_error(module, lambda: (module(Tensor(x)) * Tensor(probe)).sum(), h)
+        cases = {
+            "linear": (Linear(5, 4, rng), (3, 5), (3, 4)),
+            "layer_norm": (LayerNorm(6), (2, 4, 6), (2, 4, 6)),
+            "attention": (SelfAttention(4, rng), (2, 5, 4), (2, 5, 4)),
+            "feed_forward": (FeedForward(4, 7, rng), (2, 3, 4), (2, 3, 4)),
+            "snr_embedding": (SnrMlp(5, rng), (3, 1), (3, 5)),
+            "transformer_layer": (TransformerLayer(4, 6, rng), (2, 3, 4), (2, 3, 4)),
+        }
+        for name, (module, in_shape, out_shape) in cases.items():
+            x = rng.standard_normal(in_shape)
+            probe = rng.standard_normal(out_shape)
+            results[name] = _worst_fd_error(
+                module, lambda: (module(Tensor(x)) * Tensor(probe)).sum(), h
+            )
 
-    results["session_loss"] = check_session_loss(_SESSION_CHECK_CONFIG, seed, h)
-    if custom is not None:
-        results["session_loss_custom"] = check_session_loss(custom, seed, h)
+        results["session_loss"] = check_session_loss(_SESSION_CHECK_CONFIG, seed, h)
+        if custom is not None:
+            results["session_loss_custom"] = check_session_loss(custom, seed, h)
     results["max_rel_error"] = max(results.values())
     results["tolerance"] = tol
     results["passed"] = bool(results["max_rel_error"] < tol)

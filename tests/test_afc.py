@@ -395,6 +395,21 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == (tmp_path / "again.ckpt").read_bytes()
 
 
+
+def test_checkpoint_of_float64_weights_loads_as_float32(tmp_path):
+    with ad.float64():
+        model = AfcModel(TINY, seed=27)
+    save_checkpoint(model, tmp_path / "f64.ckpt")
+    clone = load_checkpoint(tmp_path / "f64.ckpt")
+    for (_, p64), (_, p32) in zip(model.parameters(), clone.parameters()):
+        assert p64.data.dtype == np.float64 and p32.data.dtype == np.float32
+        assert np.array_equal(p32.data, p64.data.astype(np.float32))
+    # From there on the weights are float32 values, which float64 holds exactly.
+    save_checkpoint(clone, tmp_path / "a.ckpt")
+    save_checkpoint(load_checkpoint(tmp_path / "a.ckpt"), tmp_path / "b.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+    assert (tmp_path / "a.ckpt").read_bytes() != (tmp_path / "f64.ckpt").read_bytes()
+
 def test_checkpoint_corruption_detected(tmp_path):
     model = AfcModel(TINY, seed=28)
     path = tmp_path / "model.ckpt"

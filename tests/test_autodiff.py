@@ -49,7 +49,7 @@ W = np.random.default_rng(42).standard_normal((4, 5))
 C = np.random.default_rng(43).standard_normal((3, 4))
 X3 = np.random.default_rng(44).standard_normal((2, 3, 4))
 
-# Fused ops against the unfused formulas: agreement to rounding.
+# Fused ops against the unfused formulas: agreement to rounding, in float64.
 FUSED_RTOL = 1e-12
 
 
@@ -97,6 +97,7 @@ def square_sum(t):
     return (t * t).sum()
 
 
+@pytest.mark.usefixtures("float64")
 def test_matmul():
     check_grad(lambda t: square_sum(t @ Tensor(W)), (3, 4))
     # A 2-D weight shared across a batch: each gradient is one GEMM.
@@ -104,6 +105,7 @@ def test_matmul():
     check_grad(lambda t: square_sum(Tensor(X3) @ t), (4, 5))
 
 
+@pytest.mark.usefixtures("float64")
 def test_batched_matmul():
     def cube_mean(t):
         m = t @ t.swap_last_axes()
@@ -112,21 +114,25 @@ def test_batched_matmul():
     check_grad(cube_mean, (2, 3, 4))
 
 
+@pytest.mark.usefixtures("float64")
 def test_softmax():
     check_grad(lambda t: (ad.softmax(t) * Tensor(C)).sum(), (3, 4))
 
 
 def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
+    """a's bit patterns, as unsigned integers of a's itemsize."""
+    a = np.ascontiguousarray(a)
+    return a.view(f"u{a.itemsize}")
 
 
 @pytest.mark.parametrize("shape", [(64, 16, 16), (200, 16, 8), (7, 9), (5, 33), (3, 1)])
 def test_row_max_matches_numpy_max(shape):
     rng = np.random.default_rng(3)
-    x = rng.standard_normal(shape)
+    x = rng.standard_normal(shape).astype(np.float32)
     assert np.array_equal(_bits(ad._max_last(x)), _bits(x.max(axis=-1, keepdims=True)))
 
     special = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0], size=shape)
+    special = special.astype(np.float32)
     got, want = ad._max_last(special), special.max(axis=-1, keepdims=True)
     zero = want == 0.0
     # Bit for bit wherever the max is not a zero (NaN and infinities included).
@@ -140,6 +146,7 @@ def test_row_max_matches_numpy_max(shape):
         assert np.array_equal(_bits(ad.softmax(Tensor(special)).data), _bits(expected))
 
 
+@pytest.mark.usefixtures("float64")
 def test_cross_entropy():
     idx = np.random.default_rng(1).integers(0, 4, (2, 3))
     check_grad(lambda t: ad.cross_entropy(t, idx), (2, 3, 4))
@@ -148,6 +155,7 @@ def test_cross_entropy():
         ad.cross_entropy(Tensor(np.zeros((2, 3, 4))), idx[0])
 
 
+@pytest.mark.usefixtures("float64")
 def test_cross_entropy_matches_unfused_reference():
     rng = np.random.default_rng(5)
     z = 4.0 * rng.standard_normal((64, 16, 8))
@@ -161,6 +169,7 @@ def test_cross_entropy_matches_unfused_reference():
     assert rel_err(t.grad, want_grad) <= FUSED_RTOL
 
 
+@pytest.mark.usefixtures("float64")
 def test_layer_norm():
     rng = np.random.default_rng(6)
     x, gamma, beta = rng.standard_normal((2, 3, 5)), rng.standard_normal(5), rng.standard_normal(5)
@@ -174,6 +183,7 @@ def test_layer_norm():
     check_grad(lambda t: ln(Tensor(x), Tensor(gamma), t), (5,))
 
 
+@pytest.mark.usefixtures("float64")
 def test_layer_norm_matches_unfused_reference():
     rng = np.random.default_rng(7)
     x = 3.0 + 2.0 * rng.standard_normal((64, 16, 16))
@@ -189,16 +199,19 @@ def test_layer_norm_matches_unfused_reference():
         assert rel_err(got, ref) <= FUSED_RTOL
 
 
+@pytest.mark.usefixtures("float64")
 def test_gelu():
     check_grad(lambda t: ad.gelu(t).sum(), (3, 7))
 
 
+@pytest.mark.usefixtures("float64")
 def test_sqrt_div():
     check_grad(lambda t: ad.sqrt(t * t + 2.0).sum(), (6,))
     # Division by a broadcast scalar, as power normalisation divides.
     check_grad(lambda t: square_sum(t / ad.sqrt((t * t).mean() + 1e-8)), (2, 6))
 
 
+@pytest.mark.usefixtures("float64")
 def test_concat():
     # A constant among recorded operands, as the codec's message.
     check_grad(lambda t: square_sum(ad.concat([t, Tensor(X3), t * 2.0])), (2, 3, 4))
@@ -215,6 +228,7 @@ def test_concat():
         assert ad.concat([x, x])._rebuild is None
 
 
+@pytest.mark.usefixtures("float64")
 def test_linear_with_rows():
     # x's features stand for rows 3, 0 and 2 of the weight: the gradient of
     # row 1 is zero, and x's gradient comes from those rows alone.
@@ -230,6 +244,7 @@ def test_linear_with_rows():
     assert not w.grad[1].any() and w.grad[rows].all()
 
 
+@pytest.mark.usefixtures("float64")
 def test_broadcast_add_and_reductions():
     check_grad(lambda t: (t + Tensor(np.ones((1, 4)))).sum(), (3, 4))
     # Operands broadcast over leading axes: a bias and a scalar.
@@ -238,6 +253,7 @@ def test_broadcast_add_and_reductions():
     check_grad(lambda t: square_sum(t).mean() + t.mean(), (3, 4))
 
 
+@pytest.mark.usefixtures("float64")
 def test_fanout_accumulation():
     check_grad(lambda t: (t * t).sum() + (t @ Tensor(W)).sum(), (3, 4))
 
@@ -283,6 +299,40 @@ def test_no_grad_is_per_thread():
     out = (w * 2.0).sum()
     out.backward()
     np.testing.assert_array_equal(w.grad, np.full(3, 2.0))
+
+
+def test_float64_is_per_thread():
+    # As no_grad: A enters, B enters, A leaves, B leaves, and each thread
+    # sees its own precision throughout.
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    made = {}
+
+    def a():
+        with ad.float64():
+            a_in.set()
+            b_in.wait(10)
+            made["a"] = Tensor(1.0).data.dtype
+        a_out.set()
+        made["a after"] = Tensor(1.0).data.dtype
+
+    def b():
+        a_in.wait(10)
+        with ad.float64():
+            b_in.set()
+            a_out.wait(10)
+            made["b"] = Tensor(1.0).data.dtype
+
+    with ad.float64():
+        threads = [threading.Thread(target=f) for f in (a, b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20)
+        made["main"] = Tensor(1.0).data.dtype
+    assert not any(t.is_alive() for t in threads)
+    # A new thread starts in float32 whatever the thread that started it.
+    assert made == {"a": np.float64, "b": np.float64, "a after": np.float32, "main": np.float64}
+    assert Tensor(1.0).data.dtype == np.float32
 
 
 def test_backward_requires_scalar():
@@ -426,7 +476,7 @@ def test_rebuilds_repeat_the_forward_bit_for_bit(monkeypatch):
     # Gains away from 1 and shifts away from 0, so that arithmetic in
     # another order rounds differently.
     for _, p in model.parameters():
-        p.data = p.data + 0.5 * rng.standard_normal(p.shape)
+        p.data = (p.data + 0.5 * rng.standard_normal(p.shape)).astype(p.data.dtype)
     registered = []
 
     def check(kind, args, out):
@@ -528,11 +578,13 @@ def test_default_full_forward_tape_bytes():
     # when the tape kept LayerNorm and GELU outputs and attention mixes,
     # 55.7 MB when it kept q, k, v and the feed-forward up-projections, 32.1
     # MB when the embeddings kept their (B, blocks, features) inputs; 28.2
-    # MB since those are rebuilt from the inputs' parts.
-    assert live <= 30e6, live
+    # MB since those are rebuilt from the inputs' parts, in float64; 14.8 MB
+    # in float32.
+    assert live <= 16e6, live
     # Backward adds the gradients and the outputs it rebuilds: 35.8 MB while
-    # each concat's gradient slices were views of the whole; 29.9 MB.
-    assert step_peak <= 32e6, step_peak
+    # each concat's gradient slices were views of the whole; 29.9 MB in
+    # float64; 15.6 MB in float32.
+    assert step_peak <= 17e6, step_peak
 
 
 def test_backward_twice_gives_identical_gradients():
@@ -643,6 +695,7 @@ def transformer_layer_reference(x, p):
     return x1 + f, back
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("make, reference", [
     (lambda rng: Linear(16, 32, rng), linear_reference),
     (lambda rng: SelfAttention(16, rng), attention_reference),

@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import kstest, norm
 
 from fbclab import autodiff as ad
+from fbclab import experiments
 from fbclab.afc import AfcConfig, AfcModel, logits_to_bits, save_checkpoint, session_graph
 from fbclab.channel import MeanRevertingTrace, PiecewiseTrace, sample_traces
 from fbclab.errors import ConfigError, NumericalFailure
@@ -112,9 +113,9 @@ def test_train_determinism_and_checkpoint_bytes(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-# Losses of the run below, computed with LayerNorm and cross-entropy as
-# chains of primitive ops. Float reassociation moves them by ~1e-16; a changed
-# draw order or a wrong fused backward moves them far more.
+# Losses of the run below in float64, computed with LayerNorm and
+# cross-entropy as chains of primitive ops. Float reassociation moves them by
+# ~1e-16; a changed draw order or a wrong fused backward moves them far more.
 PINNED_TINY_LOSSES = [
     2.0551778945234287, 2.087100390582652, 1.8276476338786025,
     1.9567022027813414, 1.8743220353168948, 1.9453315802817643,
@@ -129,14 +130,26 @@ PINNED_TINY_LOSSES = [
 ]
 
 
-def test_seeded_trajectory_matches_pinned_losses():
+def _pinned_run_losses():
     model = AfcModel(TINY, seed=11)
     hist = train(
         model, CurriculumConfig(total_steps=30), TrainConfig(steps=30, batch_size=32, seed=11)
     )
-    losses = np.array([h.loss for h in hist])
+    return np.array([h.loss for h in hist])
+
+
+@pytest.mark.usefixtures("float64")
+def test_seeded_trajectory_matches_pinned_losses():
+    losses = _pinned_run_losses()
     assert losses.shape == (30,)
     np.testing.assert_allclose(losses, PINNED_TINY_LOSSES, rtol=1e-9, atol=0)
+
+
+def test_float32_trajectory_follows_the_pinned_losses():
+    # In the codec's own float32 the run follows the same path: its losses
+    # are within 8.3e-8 of the float64 pins, relatively, at every step.
+    losses = _pinned_run_losses()
+    np.testing.assert_allclose(losses, PINNED_TINY_LOSSES, rtol=1e-6, atol=0)
 
 
 def test_fixed_snr_mode_bypasses_curriculum():
@@ -219,6 +232,49 @@ def test_adam_matches_reference_step():
     assert np.allclose(h.w.data, np.array([1.0, -2.0]) - 0.1 * np.sign(g), atol=1e-6)
     # a parameter backward left no gradient on steps as if its gradient were 0
     assert h.unused.grad is None and h.unused.data.tolist() == [3.0]
+
+
+def test_codec_trains_and_infers_in_float32(tmp_path, monkeypatch):
+    # One float64 array in the codec (a weight assigned in float64, a ones
+    # vector in numpy's default dtype) silently promotes every op it reaches
+    # to float64, at twice the bytes. Op outputs are seen before the Tensor
+    # casts them, and the weights, gradients and moments as they are.
+    made, optimizers, models = [], [], []
+    make, step, trial_fn = ad._make, Adam.step, experiments.neural_trial_fn
+
+    def recorded_make(data, parents, rebuild=None):
+        made.append(np.asarray(data).dtype)
+        return make(data, parents, rebuild)
+
+    def recorded_step(self):
+        optimizers.append(self)
+        step(self)
+
+    def recorded_trial_fn(model, **kwargs):
+        models.append(model)
+        return trial_fn(model, **kwargs)
+
+    monkeypatch.setattr(ad, "_make", recorded_make)
+    monkeypatch.setattr(Adam, "step", recorded_step)
+    monkeypatch.setattr(experiments, "neural_trial_fn", recorded_trial_fn)
+    f32 = {np.dtype(np.float32)}
+
+    # One default_full train step at B=64: 930 tape outputs.
+    run_experiment(ExperimentConfig("train", {"steps": 1, "batch_size": 64}, 3, str(tmp_path / "t")))
+    [opt] = optimizers
+    assert made and set(made) == f32
+    assert {p.data.dtype for p in opt.params} == f32
+    assert {p.grad.dtype for p in opt.params if p.grad is not None} == f32
+    assert {a.dtype for a in opt.m + opt.v} == f32
+
+    # Its checkpoint, swept at two points, each on a pool thread of its own.
+    made.clear()
+    params = {"scheme": "neural", "checkpoint": str(tmp_path / "t" / "model.ckpt"),
+              "snr_grid": [0.0, 4.0], "max_trials": 100}
+    run_experiment(ExperimentConfig("per-sweep", params, 3, str(tmp_path / "p")))
+    [model] = models
+    assert {p.data.dtype for _, p in model.parameters()} == f32
+    assert made and set(made) == f32
 
 
 def test_config_validation():
